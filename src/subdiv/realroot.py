@@ -1,9 +1,15 @@
 """Exact certificates for real-rootedness and interlacing.
 
-Everything here runs over exact rational arithmetic: Sturm chains with
-content-stripped integer entries, Yun's squarefree decomposition for
-multiplicities, and bisection only down to isolating intervals whose
-endpoints are certified non-roots.  No floating point is involved, so a
+Everything here runs over exact rational arithmetic on signed remainder
+sequences with content-stripped integer entries.  Yes/no answers are
+certified by sign counts at +-infinity, which read only leading
+coefficients and degrees: a Sturm count of the squarefree part for
+real-rootedness, and a Cauchy index for interlacing (the
+Hermite-Kakeya-Obreschkoff criterion).  Root isolation (Yun's
+squarefree decomposition for multiplicities, and bisection only down to
+isolating intervals whose endpoints are certified non-roots) serves
+``isolate_roots`` and the evidence of ``interlace_report``, which the
+CLI prints with ``--explain``.  No floating point is involved, so a
 ``True`` answer is a proof, not an estimate.
 
 Interlacing follows the weak-alternation convention: ``f`` interlaces
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .poly import Poly, degree, derivative, eval_at, mul, normalize
+from .poly import Poly, degree, derivative, eval_at, normalize
 
 _SCAN_LIMIT = 64  # integer root candidates probed before bisection
 
@@ -146,17 +152,26 @@ def yun_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     return list(_yun_cached(tuple(f)))
 
 
+def _remainder_sequence(a: Poly, b: Poly) -> tuple[Poly, ...]:
+    """Signed remainder sequence ``a, b, -rem(a, b), ...``.
+
+    Every entry is content-stripped by a positive factor, which keeps
+    all sign counts intact.
+    """
+    chain = [_int_primitive(a)]
+    b = _int_primitive(b)
+    while b:
+        chain.append(b)
+        rem = _divmod(chain[-2], chain[-1])[1]
+        b = _int_primitive(tuple(-c for c in rem))
+    return tuple(chain)
+
+
 @lru_cache(maxsize=8192)
 def sturm_chain(f: Poly) -> tuple[Poly, ...]:
     """Signed remainder chain of ``f``, content-stripped at each step."""
     p0 = _int_primitive(f)
-    chain = [p0]
-    p1 = _int_primitive(derivative(p0))
-    while p1:
-        chain.append(p1)
-        rem = _divmod(chain[-2], chain[-1])[1]
-        p1 = _int_primitive(tuple(-c for c in rem))
-    return tuple(chain)
+    return _remainder_sequence(p0, derivative(p0))
 
 
 def _sign(x) -> int:
@@ -181,6 +196,16 @@ def _sign_at(p: Poly, x) -> int:
 def _variations(chain, x) -> int:
     signs = [s for s in (_sign_at(p, x) for p in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _index_at_infinity(chain) -> int:
+    """``Var(-oo) - Var(+oo)`` of a signed remainder sequence.
+
+    For the sequence of ``(a, b)`` this is the Cauchy index of ``b/a``
+    over the whole real line; for a Sturm chain it is the number of
+    distinct real roots.  Only leading coefficients and degrees are read.
+    """
+    return _variations(chain, _NEG_INF) - _variations(chain, _POS_INF)
 
 
 def _count_roots(chain, a, b, cache) -> int:
@@ -334,11 +359,7 @@ def _is_real_rooted_cached(f: Poly) -> bool:
     if not f or degree(f) == 0:
         return True
     sf = squarefree_part(f)
-    if degree(sf) < 1:
-        return True
-    chain = sturm_chain(sf)
-    bound = cauchy_bound(sf)
-    return _count_roots(chain, -bound, bound, {}) == degree(sf)
+    return _index_at_infinity(sturm_chain(sf)) == degree(sf)
 
 
 def isolate_roots(f: Poly) -> RootIsolation:
@@ -397,35 +418,6 @@ def isolate_roots(f: Poly) -> RootIsolation:
     return RootIsolation(tuple((r[0], r[1], r[2]) for r in records))
 
 
-def _slots_of(sf: Poly):
-    """Sorted distinct-root slots of a squarefree polynomial."""
-    ivs, exs, _, _ = _isolate_squarefree(sf)
-    slots = [(c, c) for c in exs] + [(a, b) for a, b in ivs]
-    slots.sort(key=lambda s: (s[0] + s[1]) / 2)
-    return slots
-
-
-def _slot_multiplicities(f: Poly, slots) -> list[int]:
-    """Root multiplicity of ``f`` inside each slot.
-
-    Slot endpoints must avoid all roots of ``f``; slots built from a
-    squarefree multiple of ``f`` satisfy that.
-    """
-    counts = [0] * len(slots)
-    for factor, mult in yun_decomposition(f):
-        if degree(factor) < 1:
-            continue
-        chain = sturm_chain(factor)
-        cache: dict = {}
-        for idx, (a, b) in enumerate(slots):
-            if a == b:
-                if eval_at(factor, a) == 0:
-                    counts[idx] += mult
-            elif _count_roots(chain, a, b, cache) == 1:
-                counts[idx] += mult
-    return counts
-
-
 def _interlace_core(f: Poly, g: Poly) -> tuple[bool, str]:
     f, g = normalize(f), normalize(g)
     if not f or not g:
@@ -442,21 +434,16 @@ def _interlace_core(f: Poly, g: Poly) -> tuple[bool, str]:
     df, dg = degree(f), degree(g)
     if not (dg - 1 <= df <= dg):
         return False, f"degree {df} outside window [{dg - 1}, {dg}]"
-    sf = squarefree_part(mul(f, g))
-    if degree(sf) < 1:
+    if dg < 1:
         return True, "no roots to compare"
-    slots = _slots_of(sf)
-    mf = _slot_multiplicities(f, slots)
-    mg = _slot_multiplicities(g, slots)
-    if sum(mf) != df or sum(mg) != dg:
-        raise AssertionError("root count mismatch during interlacing check")
-    alphas = [i for i in reversed(range(len(slots))) for _ in range(mf[i])]
-    betas = [i for i in reversed(range(len(slots))) for _ in range(mg[i])]
-    for i, beta in enumerate(betas):
-        if i < len(alphas) and alphas[i] > beta:
-            return False, "root alternation fails"
-        if i + 1 < len(betas) and betas[i + 1] > alphas[i]:
-            return False, "root alternation fails"
+    # Hermite-Kakeya-Obreschkoff: after the common factor is divided
+    # out, f interlaces g exactly when the Cauchy index of p/q over the
+    # real line reaches its maximum, deg q.
+    h = _gcd_monic(f, g)
+    p = _pos_primitive(_div_exact(f, h))
+    q = _pos_primitive(_div_exact(g, h))
+    if _index_at_infinity(_remainder_sequence(q, p)) != degree(q):
+        return False, "root alternation fails"
     return True, "roots weakly alternate"
 
 

@@ -9,6 +9,7 @@ completion order.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -555,8 +556,11 @@ def run_suite(suite: str, *, ns=None, seeds=None, steps=None, rs=None,
     items = [(suite, tuple(sorted(case.items())))
              for case in _SUITES[suite][1](options)]
     start = time.perf_counter()
-    if jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # The default fork start method starts every worker at once, so the
+    # pool never gets more workers than cases or processors.
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_case, items))
     else:
         results = [_run_case(item) for item in items]

@@ -264,9 +264,9 @@ class TestWords:
     def test_E_pinned(self, n, r, expected):
         assert E_nr(n, r) == expected
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_E_routes_agree(self, n):
-        for r in range(1, 6):
+        for r in range(1, 7):
             assert e_nr_words(n, r) == e_nr_veronese(n, r) == E_nr(n, r)
 
     def test_guards(self):

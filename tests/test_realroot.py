@@ -9,12 +9,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subdiv.perm import E_nr, d_nkj
+from subdiv.perm import E_nr, d_nkj, eulerian
 from subdiv.poly import (
     add,
+    degree,
     eval_at,
     mul,
+    normalize,
     parse_poly,
     power,
     reverse,
@@ -22,6 +26,10 @@ from subdiv.poly import (
     veronese,
 )
 from subdiv.realroot import (
+    _count_roots,
+    _interlace_core,
+    _isolate_squarefree,
+    cauchy_bound,
     interlace_report,
     interlaces,
     is_interlacing_sequence,
@@ -134,6 +142,16 @@ class TestIsolation:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             isolate_roots(())
+
+    def test_cleanup_keeps_intervals_off_extracted_roots(self):
+        # The integer scan extracts -11 and 19; the cleanup loop then moves
+        # endpoints off them, so bisection's (-11, 0) prints as
+        # (-10675/1024, 0).  `interlace --explain` shows these strings.
+        f = (13366386, 243067, -1904656, 299061, 2774, -2528, 96)
+        assert isolate_roots(f).pretty() == (
+            "-11, (-10675/1024, 0), (0, 10675/2048), "
+            "(10675/2048, 32025/4096), (32025/4096, 10675/1024), 19"
+        )
 
 
 class TestSturm:
@@ -281,3 +299,136 @@ class TestSectionSequences:
         for r in range(n, 7):
             e = E_nr(n, r)
             assert interlaces(e, reverse(e, n))
+
+
+# Oracle: the slot route that certified interlacing before the Cauchy
+# index did.  It isolates every distinct root of f*g, counts each
+# polynomial's multiplicity per root slot and walks the alternation.
+
+
+def _oracle_real_rooted(f):
+    f = normalize(f)
+    if not f or degree(f) == 0:
+        return True
+    sf = squarefree_part(f)
+    bound = cauchy_bound(sf)
+    return _count_roots(sturm_chain(sf), -bound, bound, {}) == degree(sf)
+
+
+def _oracle_slots(sf):
+    ivs, exs, _, _ = _isolate_squarefree(sf)
+    slots = [(c, c) for c in exs] + [(a, b) for a, b in ivs]
+    slots.sort(key=lambda s: (s[0] + s[1]) / 2)
+    return slots
+
+
+def _oracle_multiplicities(f, slots):
+    counts = [0] * len(slots)
+    for factor, mult in yun_decomposition(f):
+        chain = sturm_chain(factor)
+        cache: dict = {}
+        for idx, (a, b) in enumerate(slots):
+            if a == b:
+                if eval_at(factor, a) == 0:
+                    counts[idx] += mult
+            elif _count_roots(chain, a, b, cache) == 1:
+                counts[idx] += mult
+    return counts
+
+
+def _oracle_interlace(f, g):
+    f, g = normalize(f), normalize(g)
+    if not f or not g:
+        other = f or g
+        if not other:
+            return True, "both polynomials are zero"
+        if _oracle_real_rooted(other):
+            return True, "zero polynomial convention"
+        return False, "the nonzero polynomial is not real-rooted"
+    if not _oracle_real_rooted(f):
+        return False, "first polynomial is not real-rooted"
+    if not _oracle_real_rooted(g):
+        return False, "second polynomial is not real-rooted"
+    df, dg = degree(f), degree(g)
+    if not (dg - 1 <= df <= dg):
+        return False, f"degree {df} outside window [{dg - 1}, {dg}]"
+    sf = squarefree_part(mul(f, g))
+    if degree(sf) < 1:
+        return True, "no roots to compare"
+    slots = _oracle_slots(sf)
+    mf = _oracle_multiplicities(f, slots)
+    mg = _oracle_multiplicities(g, slots)
+    assert sum(mf) == df and sum(mg) == dg
+    alphas = [i for i in reversed(range(len(slots))) for _ in range(mf[i])]
+    betas = [i for i in reversed(range(len(slots))) for _ in range(mg[i])]
+    for i, beta in enumerate(betas):
+        if i < len(alphas) and alphas[i] > beta:
+            return False, "root alternation fails"
+        if i + 1 < len(betas) and betas[i + 1] > alphas[i]:
+            return False, "root alternation fails"
+    return True, "roots weakly alternate"
+
+
+GRID = sorted({Fraction(k, d) for d in (1, 2, 3) for k in range(-6, 7)})
+
+
+def _from_roots(lead, roots, quadratics):
+    f = (lead,)
+    for c in roots:
+        f = mul(f, (-c.numerator, c.denominator))
+    for _ in range(quadratics):
+        f = mul(f, (1, 0, 1))
+    return f
+
+
+@st.composite
+def _poly_pairs(draw):
+    """(f, g) from grid roots: shared and repeated roots, x^2+1 factors,
+    either sign, zero and constant polynomials, degree gaps -2..+1."""
+    root = st.sampled_from(GRID)
+    common = draw(st.lists(root, max_size=3))
+    g_own = sorted(draw(st.lists(root, max_size=5)))
+    gap = draw(st.sampled_from((-2, -1, 0, 1)))
+    if draw(st.booleans()) and g_own:
+        # roots of f placed in the closed gaps of g, so many pairs
+        # interlace or fail only at one end
+        f_own = [draw(st.sampled_from([c for c in GRID if a <= c <= b]))
+                 for a, b in zip(g_own, g_own[1:])]
+        if gap >= 0:
+            f_own.append(draw(st.sampled_from([c for c in GRID if c <= g_own[0]])))
+        if gap > 0:
+            f_own.append(draw(root))
+    else:
+        size = max(0, len(g_own) + gap)
+        f_own = draw(st.lists(root, min_size=size, max_size=size))
+    lead = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    quads = st.sampled_from((0, 0, 0, 1))
+    f = _from_roots(draw(lead), common + f_own, draw(quads))
+    g = _from_roots(draw(lead), common + g_own, draw(quads))
+    zero = draw(st.sampled_from((None,) * 8 + ("f", "g", "both")))
+    if zero in ("f", "both"):
+        f = ()
+    if zero in ("g", "both"):
+        g = ()
+    return f, g
+
+
+class TestAgainstSlotOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(_poly_pairs())
+    def test_random_pairs(self, pair):
+        f, g = pair
+        for p in (f, g, mul(f, g)):
+            assert is_real_rooted(p) == _oracle_real_rooted(p), p
+        assert _interlace_core(f, g) == _oracle_interlace(f, g)
+        assert _interlace_core(g, f) == _oracle_interlace(g, f)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_dnkj_family(self, n):
+        fs = [eulerian(n)] + [d_nkj(n, k, j)
+                              for k in range(n + 1) for j in range(n + 1)]
+        for f in fs:
+            assert is_real_rooted(f) == _oracle_real_rooted(f)
+        for f in fs:
+            for g in fs:
+                assert _interlace_core(f, g) == _oracle_interlace(f, g)

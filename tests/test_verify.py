@@ -59,6 +59,35 @@ class TestDeterminism:
                       jobs=3)
         assert snapshot(a) == snapshot(b)
 
+    @pytest.mark.parametrize("jobs, cpus, expected", [
+        (64, 2, 2),   # processors bound a huge --jobs
+        (64, 16, 4),  # so does the number of cases
+        (3, 16, 3),
+        (3, None, 1),  # unknown processor count: run in process
+    ])
+    def test_pool_size_is_bounded(self, monkeypatch, jobs, cpus, expected):
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+        report = run_suite("thm-uniform", ns=(2, 3), seeds=(1, 2),
+                           kinds=("sd",), jobs=jobs)
+        assert report.cases_run == 4
+        assert sizes == ([expected] if expected > 1 else [])
+
     def test_cases_sorted_by_key(self):
         report = run_suite("foata", n_max=4)
         keys = [c.params for c in report.cases]
