@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+from math import factorial
 
 from . import verify as verify_mod
 from .complexes import SchemaError, complex_from_json
@@ -38,6 +39,8 @@ from .triangulate import (
 FORMATS = ("text", "json", "csv")
 
 TABLES_N_CAP = 8
+# Facets of sd at the n cap; esd:R builds R^(n-1) of them.
+FACETS_CAP = factorial(TABLES_N_CAP)
 
 _CONFIG_KEYS = ("prng", "max_enum_n", "format", "seed", "jobs")
 
@@ -298,10 +301,15 @@ def cmd_ftriangle(args, config: dict) -> int:
     else:
         if args.n is None:
             raise CliError("--kind needs --n")
+        if args.n > TABLES_N_CAP:
+            raise CliError(f"ftriangle --kind is limited to n <= {TABLES_N_CAP}")
         if args.kind == "trivial":
             F = f_triangle("trivial", args.n)
         else:
             kind, r = _split_kind(args.kind)
+            if kind == "esd" and args.n >= 1 and r ** (args.n - 1) > FACETS_CAP:
+                raise CliError(f"esd:{r} with n = {args.n} has {r}^{args.n - 1} "
+                               f"facets; the limit is {FACETS_CAP}")
             F = f_triangle("barycentric", args.n) if kind == "sd" \
                 else f_triangle("edgewise", args.n, r=r)
     if fmt == "json":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .poly import Poly, add, binom, normalize, power, scale, shift
+from .poly import Poly, binom, normalize
 
 Face = tuple[int, ...]
 
@@ -140,15 +140,26 @@ def h_polynomial(K: SimplicialComplex, n: int | None = None) -> Poly:
     """
     if K.is_void:
         return ()
-    fv = K.f_vector()
     if n is None:
         n = K.dimension() + 1
     if K.dimension() > n - 1:
         raise ValueError(f"complex of dimension {K.dimension()} needs n >= {K.dimension() + 1}")
-    acc: Poly = ()
+    return h_from_f_vector(K.f_vector(), n)
+
+
+def h_from_f_vector(fv, n: int) -> Poly:
+    """sum_i fv[i] x^i (1-x)^{n-i}: the h-polynomial of face counts.
+
+    ``fv[i]`` counts the i-vertex faces; entries past index n must be
+    absent.  Shared by :func:`h_polynomial` and the rows of a face
+    triangle.
+    """
+    coeffs = [0] * (n + 1)
     for i, count in enumerate(fv):
-        acc = add(acc, scale(shift(power((1, -1), n - i), i), count))
-    return acc
+        if count:
+            for t in range(i, n + 1):
+                coeffs[t] += (-1) ** (t - i) * binom(n - i, t - i) * count
+    return normalize(coeffs)
 
 
 def f_vector_from_h(h: Poly, n: int) -> tuple[int, ...]:

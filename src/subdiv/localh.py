@@ -1,11 +1,18 @@
 """Local h-polynomials and their expansion over uniform subdivisions.
 
-The local h-polynomial of a triangulation of a simplex is the
-alternating sum of the h-polynomials of its restrictions to the faces
-of the base.  For a subdivision built uniformly (same face counts over
-every base face of a given size, recorded in an FTriangle) that
-polynomial decomposes into a fixed family ell_mkj with nonnegative
-integer weights read off the inner triangulation alone.
+Stanley defines the local h-polynomial of a triangulation of the
+(n-1)-simplex on V as the alternating sum
+sum_{F <= V} (-1)^{n-|F|} h(restriction to F).  Swapping the sum over
+base faces F with the sum over faces G of the triangulation gives
+
+    ell = sum_G x^|G| (-x)^(n-c(G)) (1-x)^(c(G)-|G|),
+
+where c(G) is the size of the carrier of G, so one pass over the faces,
+counted by carrier and size (:func:`face_table`), is enough.  For a
+subdivision built uniformly (same face counts over every base face of a
+given size, recorded in an FTriangle) that polynomial decomposes into a
+fixed family ell_mkj with nonnegative integer weights read off the inner
+triangulation alone.
 """
 
 from __future__ import annotations
@@ -13,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import full_simplex, h_polynomial
+from .complexes import full_simplex, h_from_f_vector
 from .perm import d_nkj, derangement_counts
-from .poly import Poly, add, binom, mul, neg, normalize, power, scale, shift
-from .triangulate import FTriangle, Triangulation, restriction
+from .poly import Poly, add, binom, mul, normalize, power, scale
+from .triangulate import FTriangle, Triangulation, face_table, restriction
 
 
 def _require_simplex_base(T: Triangulation) -> tuple[int, ...]:
@@ -26,23 +33,69 @@ def _require_simplex_base(T: Triangulation) -> tuple[int, ...]:
     return verts
 
 
-def local_h(T: Triangulation) -> Poly:
-    """Alternating sum of restriction h-polynomials over base faces."""
+def _graded_faces(T: Triangulation) -> tuple[int, dict[tuple[int, int], int]]:
+    """Base size n and face counts by (carrier size, face size).
+
+    A face with more vertices than its carrier makes some restriction
+    too big for its base face; that raises the error ``h_polynomial``
+    gives for the first such restriction, as Stanley's sum would.
+    """
     verts = _require_simplex_base(T)
-    n = len(verts)
-    acc: Poly = ()
-    for size in range(n + 1):
-        for f in combinations(verts, size):
-            h = h_polynomial(restriction(T, f).total, size)
-            acc = add(acc, h if (n - size) % 2 == 0 else neg(h))
-    return acc
+    table = face_table(T)
+    if any(size > mask.bit_count() for mask, size in table):
+        _raise_oversized(verts, table)
+    graded: dict[tuple[int, int], int] = {}
+    for (mask, size), count in table.items():
+        key = (mask.bit_count(), size)
+        graded[key] = graded.get(key, 0) + count
+    return len(verts), graded
+
+
+def _raise_oversized(verts, table) -> None:
+    """Raise for the first base face, by size then lexicographic, whose
+    restriction has a face with more vertices than it has."""
+    for size in range(len(verts) + 1):
+        for f in combinations(range(len(verts)), size):
+            fm = sum(1 << i for i in f)
+            top = max(s for mask, s in table if mask | fm == fm)
+            if top > size:
+                raise ValueError(f"complex of dimension {top - 1} needs n >= {top}")
+
+
+def _local_h_sum(graded, n: int, m: int) -> Poly:
+    """Sum of the local h-polynomials of the restrictions to all m-subsets.
+
+    A face with carrier size c <= m lies in C(n-c, m-c) of them and
+    contributes x^i (-x)^(m-c) (1-x)^(c-i) to each, i its size.
+    """
+    coeffs = [0] * (m + 1)
+    for (c, i), count in graded.items():
+        if c > m:
+            continue
+        weight = (-1) ** (m - c) * binom(n - c, m - c) * count
+        for s in range(c - i + 1):
+            coeffs[m - c + i + s] += (-1) ** s * binom(c - i, s) * weight
+    return normalize(coeffs)
+
+
+def local_h(T: Triangulation) -> Poly:
+    """Local h-polynomial, summed over faces by carrier and size.
+
+    Equals Stanley's alternating sum over base faces F of the
+    h-polynomials of the restrictions to F (see the module docstring).
+    """
+    n, graded = _graded_faces(T)
+    return _local_h_sum(graded, n, n)
 
 
 def h_from_local(T: Triangulation) -> Poly:
     """Sum of local h-polynomials of all restrictions.
 
     Inverts :func:`local_h`; the result equals the h-polynomial of
-    ``T.total``, which tests assert independently.
+    ``T.total``, which tests assert independently.  It builds every
+    restriction on purpose: summed over the face table alone it would
+    be h(T.total) by algebra, and the round-trip check would prove
+    nothing.
     """
     verts = _require_simplex_base(T)
     acc: Poly = ()
@@ -86,25 +139,12 @@ def c_coefficients(G: Triangulation) -> CoefficientMatrix:
     c_{k,j} adds up the x^j coefficients of the local h-polynomials of
     the restrictions of ``G`` to all (n-k)-subsets of the base.
     """
-    verts = _require_simplex_base(G)
-    n = len(verts)
+    n, graded = _graded_faces(G)
     rows = []
     for k in range(n + 1):
-        row = [0] * (n - k + 1)
-        for f in combinations(verts, n - k):
-            ell = local_h(restriction(G, f))
-            for j, coeff in enumerate(ell):
-                row[j] += coeff
-        rows.append(tuple(row))
+        ell = _local_h_sum(graded, n, n - k)
+        rows.append(tuple(ell) + (0,) * (n - k + 1 - len(ell)))
     return CoefficientMatrix(n, tuple(rows))
-
-
-def _h_row(F: FTriangle, j: int) -> Poly:
-    """h-polynomial of the subdivided j-vertex simplex, from row j."""
-    acc: Poly = ()
-    for i in range(j + 1):
-        acc = add(acc, scale(shift(power((1, -1), j - i), i), F.f(i, j)))
-    return normalize(acc)
 
 
 def p_poly(F: FTriangle, m: int, k: int) -> Poly:
@@ -113,8 +153,8 @@ def p_poly(F: FTriangle, m: int, k: int) -> Poly:
         raise ValueError(f"need 0 <= k <= m <= {F.n}, got k={k}, m={m}")
     acc: Poly = ()
     for i in range(k + 1):
-        acc = add(acc, scale(mul(power((-1, 1), i), _h_row(F, m - i)),
-                             binom(k, i)))
+        h = h_from_f_vector(F.rows[m - i], m - i)
+        acc = add(acc, scale(mul(power((-1, 1), i), h), binom(k, i)))
     return acc
 
 
@@ -126,7 +166,8 @@ def ell_mk(F: FTriangle, m: int, k: int) -> Poly:
         raise ValueError(f"need 0 <= k <= m <= {F.n}, got k={k}, m={m}")
     acc: Poly = ()
     for i in range(k + 1):
-        acc = add(acc, scale(_h_row(F, m - i), (-1) ** i * binom(k, i)))
+        acc = add(acc, scale(h_from_f_vector(F.rows[m - i], m - i),
+                             (-1) ** i * binom(k, i)))
     return acc
 
 

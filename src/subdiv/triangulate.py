@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .complexes import (
     Face,
@@ -226,6 +226,34 @@ def random_triangulation(vertices, steps: int, seed: int) -> Triangulation:
     return T
 
 
+def face_table(T: Triangulation) -> dict[tuple[int, int], int]:
+    """Faces of ``T.total`` counted by (carrier mask, face size).
+
+    Bit i of a mask stands for ``T.base.vertices[i]``.  A face lies in
+    the restriction to a base face F exactly when its mask is inside
+    F's, so this one pass over the faces answers every restriction's
+    face counts at once.  Faces that no restriction keeps (a vertex
+    without a carrier, or with one leaving the base) are left out.
+    """
+    bit = {v: 1 << i for i, v in enumerate(T.base.vertices)}
+    vertex_mask = {}
+    for v, c in T.vertex_carrier.items():
+        if all(u in bit for u in c):
+            vertex_mask[v] = sum(bit[u] for u in set(c))
+    table: dict[tuple[int, int], int] = {}
+    for g in T.total.faces():
+        mask = 0
+        for v in g:
+            m = vertex_mask.get(v)
+            if m is None:
+                break
+            mask |= m
+        else:
+            key = (mask, len(g))
+            table[key] = table.get(key, 0) + 1
+    return table
+
+
 class NotUniformError(ValueError):
     """Restriction face counts depend on more than dimension.
 
@@ -273,27 +301,30 @@ class FTriangle:
 def f_triangle_of(T: Triangulation) -> FTriangle:
     """Face-count triangle of ``T``; raises NotUniformError if mixed.
 
-    The base must be pure.  Row j is read off the restriction to any
-    j-vertex base face after checking they all agree.
+    The base must be pure.  Row j is the f-vector of the restriction to
+    any j-vertex base face, read off :func:`face_table` after checking
+    that they all agree.
     """
     if not T.base.is_pure():
         raise ValueError("the base complex must be pure")
     n = T.base.dimension() + 1
-    rows = []
-    for j in range(n + 1):
-        reference: tuple[int, ...] | None = None
-        ref_face: Face = ()
-        for f in T.base.faces():
-            if len(f) != j:
-                continue
-            fv = restriction(T, f).total.f_vector()
-            fv = fv + (0,) * (j + 1 - len(fv))
-            if reference is None:
-                reference, ref_face = fv, f
-            elif fv != reference:
-                raise NotUniformError(ref_face, f, (reference, fv))
-        assert reference is not None
-        rows.append(reference)
+    table = face_table(T)
+    bit = {v: 1 << i for i, v in enumerate(T.base.vertices)}
+    rows: list[tuple[int, ...]] = []
+    ref_faces: list[Face] = []
+    for f in T.base.faces():  # by size, then lexicographic
+        fm = sum(bit[v] for v in f)
+        counts = [0] * (len(f) + 1)
+        for (mask, size), count in table.items():
+            if mask | fm == fm:
+                counts.extend([0] * (size + 1 - len(counts)))
+                counts[size] += count
+        fv = tuple(counts)
+        if len(f) == len(rows):
+            rows.append(fv)
+            ref_faces.append(f)
+        elif fv != rows[len(f)]:
+            raise NotUniformError(ref_faces[len(f)], f, (rows[len(f)], fv))
     return FTriangle(n, tuple(rows))
 
 

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from subdiv import cli as cli_mod
 from subdiv.cli import main
 from subdiv.localh import second_sd_local_h
 from subdiv.poly import format_poly
@@ -220,6 +221,24 @@ class TestFTriangle:
         code, _, err = run(capsys, "ftriangle", "--input", path)
         assert code == 1
         assert "not uniform" in err
+
+    @pytest.mark.parametrize("kind, n, message", [
+        ("sd", "9", "limited to n <= 8"),
+        ("trivial", "9", "limited to n <= 8"),
+        ("esd:2", "9", "limited to n <= 8"),
+        ("esd:201", "3", "esd:201 with n = 3 has 201^2 facets; the limit is 40320"),
+        ("esd:7", "7", "esd:7 with n = 7 has 7^6 facets; the limit is 40320"),
+    ])
+    def test_kind_size_cap(self, capsys, monkeypatch, kind, n, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumeration started before the size check")
+
+        for name in ("f_triangle", "barycentric", "edgewise"):
+            monkeypatch.setattr(cli_mod, name, refuse)
+        code, out, err = run(capsys, "ftriangle", "--kind", kind, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_needs_exactly_one_source(self, capsys, simplex3):
         code, _, err = run(capsys, "ftriangle", "--input", simplex3,

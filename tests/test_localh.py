@@ -1,11 +1,15 @@
 """Local h-polynomials and their expansion over uniform subdivisions."""
 
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
 
-from subdiv.complexes import from_facets, h_polynomial
+from conftest import outcome, perturbed, refined_stellar
+from subdiv import localh, verify
+from subdiv.complexes import from_facets, full_simplex, h_polynomial
 from subdiv.localh import (
     CoefficientMatrix,
     c_coefficients,
@@ -18,8 +22,9 @@ from subdiv.localh import (
     second_sd_local_h,
 )
 from subdiv.perm import E_nr, d_nk, d_nkj, p_nk
-from subdiv.poly import add, mul, parse_poly, power, reverse, scale, shift, sub, veronese
+from subdiv.poly import add, mul, neg, parse_poly, power, reverse, scale, shift, sub, veronese
 from subdiv.triangulate import (
+    Triangulation,
     barycentric,
     compose,
     edgewise,
@@ -27,6 +32,7 @@ from subdiv.triangulate import (
     identity,
     iterated_sd,
     random_triangulation,
+    restriction,
     stellar,
     trivial,
 )
@@ -373,3 +379,102 @@ class TestSecondSd:
         ell = second_sd_local_h(n)
         assert ell == reverse(ell, n)
         assert all(c >= 0 for c in ell)
+
+
+# Stanley's definitions read literally, one rebuilt restriction per base
+# face: the slow, independent routes the face-table sums are checked on.
+
+def restriction_local_h(T):
+    verts = T.base.vertices
+    if T.base != full_simplex(verts):
+        raise ValueError("the base complex must be a full simplex")
+    n = len(verts)
+    acc = ()
+    for size in range(n + 1):
+        for f in combinations(verts, size):
+            h = h_polynomial(restriction(T, f).total, size)
+            acc = add(acc, h if (n - size) % 2 == 0 else neg(h))
+    return acc
+
+
+def restriction_c_coefficients(G):
+    verts = G.base.vertices
+    if G.base != full_simplex(verts):
+        raise ValueError("the base complex must be a full simplex")
+    n = len(verts)
+    rows = []
+    for k in range(n + 1):
+        row = [0] * (n - k + 1)
+        for f in combinations(verts, n - k):
+            for j, coeff in enumerate(restriction_local_h(restriction(G, f))):
+                row[j] += coeff
+        rows.append(tuple(row))
+    return CoefficientMatrix(n, tuple(rows))
+
+
+def void_total(n):
+    simplex = full_simplex(range(1, n + 1))
+    return Triangulation(simplex, from_facets([]), {})
+
+
+class TestFaceTableRoutes:
+    @settings(max_examples=60, deadline=None)
+    @given(perturbed(refined_stellar()))
+    def test_agrees_with_restriction_sums(self, T):
+        assert outcome(local_h, T) == outcome(restriction_local_h, T)
+        assert outcome(c_coefficients, T) == outcome(restriction_c_coefficients, T)
+
+    @pytest.mark.parametrize("T", [
+        edgewise(full_stellar(6), 2),
+        trivial(()),
+        void_total(0),
+        void_total(3),
+        identity(from_facets([(1, 2), (2, 3)])),
+    ], ids=["esd-counterexample", "trivial-empty", "void-0", "void-3", "non-simplex"])
+    def test_fixed_cases(self, T):
+        assert outcome(local_h, T) == outcome(restriction_local_h, T)
+        assert outcome(c_coefficients, T) == outcome(restriction_c_coefficients, T)
+
+    def test_oversized_face_error_matches(self):
+        T = barycentric(trivial((1, 2, 3)))
+        wrong = dict(T.vertex_carrier)
+        wrong[max(wrong)] = (1,)
+        broken = Triangulation(T.base, T.total, wrong)
+        expected = ("ValueError", "complex of dimension 1 needs n >= 2", None)
+        assert outcome(restriction_local_h, broken) == expected
+        assert outcome(local_h, broken) == expected
+        assert outcome(c_coefficients, broken) == expected
+
+
+class TestRoundTripStaysIndependent:
+    @pytest.mark.parametrize("n", [0, 2, 4])
+    def test_h_from_local_builds_every_restriction(self, monkeypatch, n):
+        built = []
+
+        def counting(T, F):
+            built.append(F)
+            return restriction(T, F)
+
+        monkeypatch.setattr(localh, "restriction", counting)
+        h_from_local(random_triangulation(tuple(range(1, n + 1)), 3, seed=7))
+        assert len(built) == 2 ** n
+
+    def test_structural_sees_a_dropped_face(self, monkeypatch):
+        # The restriction to the whole triangle loses the barycenter (and
+        # with it every face through it); no other restriction changes.
+        T = barycentric(trivial((1, 2, 3)))
+        center = max(T.total.vertices)
+
+        def dropping(T, F):
+            R = restriction(T, F)
+            if center not in R.total.vertices:
+                return R
+            facets = [tuple(v for v in h if v != center) for h in R.total.facets]
+            return Triangulation(R.base, from_facets(facets), R.vertex_carrier)
+
+        problems = []
+        assert verify._structural(T, 3, problems) == P("x+x^2")
+        assert problems == []
+        monkeypatch.setattr(localh, "restriction", dropping)
+        verify._structural(T, 3, problems)
+        assert problems == ["restriction sum does not give back the h-polynomial"]

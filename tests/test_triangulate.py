@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import outcome, perturbed, refined_stellar
 from subdiv.complexes import complex_to_json, from_facets, full_simplex, h_polynomial
 from subdiv.poly import parse_poly
 from subdiv.triangulate import (
@@ -371,3 +372,53 @@ class TestStructuralProperties:
         S = barycentric(T)
         validate_triangulation(S)
         assert is_flag(S.total)
+
+
+def restriction_f_triangle_of(T):
+    """Row j read off a rebuilt restriction to each j-vertex base face."""
+    if not T.base.is_pure():
+        raise ValueError("the base complex must be pure")
+    n = T.base.dimension() + 1
+    rows = []
+    for j in range(n + 1):
+        reference = None
+        ref_face = ()
+        for f in T.base.faces():
+            if len(f) != j:
+                continue
+            fv = restriction(T, f).total.f_vector()
+            fv = fv + (0,) * (j + 1 - len(fv))
+            if reference is None:
+                reference, ref_face = fv, f
+            elif fv != reference:
+                raise NotUniformError(ref_face, f, (reference, fv))
+        rows.append(reference)
+    return FTriangle(n, tuple(rows))
+
+
+class TestFTriangleOfFaceTable:
+    @settings(max_examples=60, deadline=None)
+    @given(perturbed(st.one_of(refined_stellar(), stellar_runs())))
+    def test_agrees_with_restriction_route(self, T):
+        assert outcome(f_triangle_of, T) == outcome(restriction_f_triangle_of, T)
+
+    @pytest.mark.parametrize("T", [
+        edgewise(stellar(trivial(range(1, 7)), range(1, 7)), 2),
+        stellar(trivial((1, 2, 3)), (1, 2)),
+        trivial(()),
+        Triangulation(full_simplex(()), from_facets([]), {}),
+        Triangulation(full_simplex((1, 2, 3)), from_facets([]), {}),
+        identity(from_facets([(1, 2), (3,)])),
+    ], ids=["esd-counterexample", "non-uniform", "trivial-empty", "void-0",
+            "void-3", "non-pure"])
+    def test_fixed_cases(self, T):
+        assert outcome(f_triangle_of, T) == outcome(restriction_f_triangle_of, T)
+
+    def test_non_uniform_witness_and_message_match(self):
+        T = stellar(trivial((1, 2, 3)), (1, 2))
+        with pytest.raises(NotUniformError) as fast:
+            f_triangle_of(T)
+        with pytest.raises(NotUniformError) as slow:
+            restriction_f_triangle_of(T)
+        assert fast.value.witness == slow.value.witness == ((1, 2), (1, 3))
+        assert str(fast.value) == str(slow.value)
