@@ -23,14 +23,16 @@ from .perm import MAX_ENUM_N, E_nr, d_nk, d_nkj, p_nk
 from .poly import Poly, PolyParseError, format_poly, parse_poly, poly_to_json
 from .realroot import interlace_report
 from .triangulate import (
+    FTriangle,
     NotUniformError,
     Triangulation,
-    barycentric,
-    edgewise,
+    UnknownKindError,
     f_triangle,
     f_triangle_of,
     identity,
+    parse_kind,
     random_triangulation,
+    refine,
     stellar,
     triangulation_from_json,
     triangulation_to_json,
@@ -112,19 +114,15 @@ def _parse_int_spec(text: str, what: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _split_kind(kind: str) -> tuple[str, int | None]:
-    if kind == "sd":
-        return "sd", None
-    if kind.startswith("esd:"):
-        tail = kind.split(":", 1)[1]
-        try:
-            r = int(tail)
-        except ValueError:
-            raise CliError(f"bad edgewise parameter in {kind!r}") from None
-        if r < 1:
-            raise CliError("edgewise parameter must be at least 1")
-        return "esd", r
-    raise CliError(f"unknown subdivision kind {kind!r} (use sd or esd:R)")
+def _capped_f_triangle(kind: str, n: int, what: str) -> FTriangle:
+    """``f_triangle(kind, n)``, refused before building when too large."""
+    if n > TABLES_N_CAP:
+        raise CliError(f"{what} is limited to n <= {TABLES_N_CAP}")
+    r = None if kind == "trivial" else parse_kind(kind)
+    if r is not None and n >= 1 and r ** (n - 1) > FACETS_CAP:
+        raise CliError(f"esd:{r} with n = {n} has {r}^{n - 1} "
+                       f"facets; the limit is {FACETS_CAP}")
+    return f_triangle(kind, n)
 
 
 def _load_triangulation(path: str) -> Triangulation:
@@ -216,9 +214,8 @@ def cmd_localh(args, config: dict) -> int:
         print(json.dumps(body, sort_keys=True))
         return 0
     if args.via_uniform:
-        kind, r = _split_kind(args.via_uniform)
-        F = f_triangle("barycentric", n) if kind == "sd" \
-            else f_triangle("edgewise", n, r=r)
+        parse_kind(args.via_uniform)  # rejects trivial, which ftriangle accepts
+        F = _capped_f_triangle(args.via_uniform, n, "localh --via-uniform")
         ell = local_h_via_uniform(F, c_coefficients(T))
     else:
         ell = local_h(T)
@@ -230,12 +227,7 @@ def cmd_subdivide(args, config: dict) -> int:
     _, seed, _ = _resolve(args, config)
     T = _load_triangulation(args.input)
     kind = args.kind
-    if kind == "sd":
-        out = barycentric(T)
-    elif kind.startswith("esd:"):
-        _, r = _split_kind(kind)
-        out = edgewise(T, r)
-    elif kind.startswith("stellar:"):
+    if kind.startswith("stellar:"):
         try:
             g = tuple(int(v) for v in kind.split(":", 1)[1].split(","))
         except ValueError:
@@ -251,8 +243,11 @@ def cmd_subdivide(args, config: dict) -> int:
                            "triangulation; input must be a single simplex")
         out = random_triangulation(T.base.vertices, steps, seed=seed)
     else:
-        raise CliError(
-            f"unknown kind {kind!r} (use sd, esd:R, stellar:V1,V2,..., random:STEPS)")
+        try:
+            out = refine(T, kind)
+        except UnknownKindError:
+            raise CliError(f"unknown kind {kind!r} (use sd, esd:R, "
+                           f"stellar:V1,V2,..., random:STEPS)") from None
     print(json.dumps(triangulation_to_json(out), sort_keys=True))
     return 0
 
@@ -301,17 +296,7 @@ def cmd_ftriangle(args, config: dict) -> int:
     else:
         if args.n is None:
             raise CliError("--kind needs --n")
-        if args.n > TABLES_N_CAP:
-            raise CliError(f"ftriangle --kind is limited to n <= {TABLES_N_CAP}")
-        if args.kind == "trivial":
-            F = f_triangle("trivial", args.n)
-        else:
-            kind, r = _split_kind(args.kind)
-            if kind == "esd" and args.n >= 1 and r ** (args.n - 1) > FACETS_CAP:
-                raise CliError(f"esd:{r} with n = {args.n} has {r}^{args.n - 1} "
-                               f"facets; the limit is {FACETS_CAP}")
-            F = f_triangle("barycentric", args.n) if kind == "sd" \
-                else f_triangle("edgewise", args.n, r=r)
+        F = _capped_f_triangle(args.kind, args.n, "ftriangle --kind")
     if fmt == "json":
         print(json.dumps({"n": F.n, "rows": [list(r) for r in F.rows]},
                          sort_keys=True))
@@ -373,10 +358,7 @@ def cmd_verify(args, config: dict) -> int:
         kwargs["rs"] = rs
         kwargs["r_max"] = max(rs)
     if args.kinds:
-        kinds = tuple(k.strip() for k in args.kinds.split(","))
-        for k in kinds:
-            _split_kind(k)
-        kwargs["kinds"] = kinds
+        kwargs["kinds"] = tuple(k.strip() for k in args.kinds.split(","))
     if args.k is not None:
         kwargs["k_max"] = args.k
     try:
@@ -439,7 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--via-uniform", metavar="KIND", default=None,
                        help="print the local h of the sd or esd:R refinement "
                             "of the input, computed from its coefficient "
-                            "matrix instead of the refined complex")
+                            "matrix instead of the refined complex; limited "
+                            f"to n <= {TABLES_N_CAP} base vertices and "
+                            f"{FACETS_CAP} refined facets")
     group.add_argument("--emit-c", action="store_true",
                        help="print the coefficient matrix as JSON "
                             '{"n": n, "c": [[k, j, value], ...]}')

@@ -169,6 +169,31 @@ def edgewise(T: Triangulation, r: int, order: Sequence[int] | None = None) -> Tr
     return Triangulation(T.base, from_facets(facets, labels), carriers)
 
 
+class UnknownKindError(ValueError):
+    """A kind string that names neither ``sd`` nor ``esd:R``."""
+
+
+def parse_kind(kind: str) -> int | None:
+    """None for ``sd`` (barycentric), R for ``esd:R`` (R-fold edgewise)."""
+    if kind == "sd":
+        return None
+    if kind.startswith("esd:"):
+        try:
+            r = int(kind[len("esd:"):])
+        except ValueError:
+            raise ValueError(f"bad edgewise parameter in {kind!r}") from None
+        if r < 1:
+            raise ValueError("edgewise parameter must be at least 1")
+        return r
+    raise UnknownKindError(f"unknown subdivision kind {kind!r} (use sd or esd:R)")
+
+
+def refine(T: Triangulation, kind: str) -> Triangulation:
+    """Refine ``T.total`` by ``sd`` or ``esd:R``, still over ``T.base``."""
+    r = parse_kind(kind)
+    return barycentric(T) if r is None else edgewise(T, r)
+
+
 def stellar(T: Triangulation, G) -> Triangulation:
     """Star the face ``G``: cone a fresh vertex over its link."""
     g = face(G)
@@ -328,20 +353,12 @@ def f_triangle_of(T: Triangulation) -> FTriangle:
     return FTriangle(n, tuple(rows))
 
 
-def f_triangle(kind: str, n: int, r: int | None = None) -> FTriangle:
-    """Face-count triangle of a named subdivision of the n-simplex."""
+def f_triangle(kind: str, n: int) -> FTriangle:
+    """Face-count triangle of the n-simplex refined by trivial, sd or esd:R."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     base = trivial(range(1, n + 1))
-    if kind == "trivial":
-        return f_triangle_of(base)
-    if kind == "barycentric":
-        return f_triangle_of(barycentric(base))
-    if kind == "edgewise":
-        if r is None:
-            raise ValueError("edgewise needs the parameter r")
-        return f_triangle_of(edgewise(base, r))
-    raise ValueError(f"unknown kind {kind!r}")
+    return f_triangle_of(base if kind == "trivial" else refine(base, kind))
 
 
 def validate_triangulation(T: Triangulation) -> None:

@@ -59,7 +59,9 @@ from .triangulate import (
     f_triangle,
     identity,
     iterated_sd,
+    parse_kind,
     random_triangulation,
+    refine,
     stellar,
     trivial,
     validate_triangulation,
@@ -105,21 +107,11 @@ class VerifySuiteReport:
         return not self.failures
 
 
+# A def, not lru_cache(f_triangle): the call must go through the module
+# global so that a wrapper installed there by a tracer sees it.
 @lru_cache(maxsize=None)
 def _triangle(kind: str, n: int) -> FTriangle:
-    if kind == "sd":
-        return f_triangle("barycentric", n)
-    if kind.startswith("esd:"):
-        return f_triangle("edgewise", n, r=int(kind.split(":", 1)[1]))
-    raise ValueError(f"unknown subdivision kind {kind!r}")
-
-
-def _refine(kind: str, T: Triangulation) -> Triangulation:
-    if kind == "sd":
-        return barycentric(T)
-    if kind.startswith("esd:"):
-        return edgewise(T, int(kind.split(":", 1)[1]))
-    raise ValueError(f"unknown subdivision kind {kind!r}")
+    return f_triangle(kind, n)
 
 
 def _gamma(n: int, seed: int, steps_cap: int) -> tuple[Triangulation, int]:
@@ -148,6 +140,14 @@ def _structural(T: Triangulation, n: int, problems: list[str]) -> Poly:
     return ell
 
 
+def _certify(ell: Poly, ref: Poly, problems: list[str]) -> None:
+    """Report ``ell`` unless it is real-rooted and interlaced by ``ref``."""
+    if not is_real_rooted(ell):
+        problems.append(f"not real-rooted: {format_poly(ell)}")
+    elif not interlaces(ref, ell):
+        problems.append(f"{format_poly(ref)} does not interlace {format_poly(ell)}")
+
+
 def _result(params: dict, problems: list[str], ok_detail: str) -> CaseResult:
     key = tuple(sorted(params.items()))
     if problems:
@@ -161,11 +161,7 @@ def _case_thm_sd(params: dict) -> CaseResult:
     T = barycentric(G)
     problems: list[str] = []
     ell = _structural(T, n, problems)
-    if not is_real_rooted(ell):
-        problems.append(f"not real-rooted: {format_poly(ell)}")
-    elif not interlaces(eulerian(n), ell):
-        problems.append(
-            f"{format_poly(eulerian(n))} does not interlace {format_poly(ell)}")
+    _certify(ell, eulerian(n), problems)
     return _result(params, problems, f"steps={steps} ell={format_poly(ell)}")
 
 
@@ -175,18 +171,14 @@ def _case_thm_esd(params: dict) -> CaseResult:
     T = edgewise(G, r)
     problems: list[str] = []
     ell = _structural(T, n, problems)
-    if not is_real_rooted(ell):
-        problems.append(f"not real-rooted: {format_poly(ell)}")
-    elif not interlaces(E_nr(n, r), ell):
-        problems.append(
-            f"{format_poly(E_nr(n, r))} does not interlace {format_poly(ell)}")
+    _certify(ell, E_nr(n, r), problems)
     return _result(params, problems, f"steps={steps} ell={format_poly(ell)}")
 
 
 def _case_thm_uniform(params: dict) -> CaseResult:
     n, seed, kind = params["n"], params["seed"], params["kind"]
     G, steps = _gamma(n, seed, params["steps"])
-    T = compose(_refine(kind, identity(G.total)), G)
+    T = compose(refine(identity(G.total), kind), G)
     problems: list[str] = []
     direct = _structural(T, n, problems)
     expanded = local_h_via_uniform(_triangle(kind, n), c_coefficients(G))
@@ -215,11 +207,7 @@ def _case_cor_sd(params: dict) -> CaseResult:
     T = iterated_sd(range(1, n + 1), k)
     problems: list[str] = []
     ell = _structural(T, n, problems)
-    if not is_real_rooted(ell):
-        problems.append(f"not real-rooted: {format_poly(ell)}")
-    elif not interlaces(eulerian(n), ell):
-        problems.append(
-            f"{format_poly(eulerian(n))} does not interlace {format_poly(ell)}")
+    _certify(ell, eulerian(n), problems)
     return _result(params, problems, f"ell={format_poly(ell)}")
 
 
@@ -543,6 +531,8 @@ def run_suite(suite: str, *, ns=None, seeds=None, steps=None, rs=None,
     """Run one named suite and return its sorted, deterministic report."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(_SUITES)}")
+    for kind in kinds or ():
+        parse_kind(kind)
     options = {
         "ns": tuple(ns) if ns else DEFAULT_NS,
         "seeds": tuple(seeds) if seeds else DEFAULT_SEEDS,

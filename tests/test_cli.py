@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -229,13 +230,26 @@ class TestFTriangle:
         ("esd:201", "3", "esd:201 with n = 3 has 201^2 facets; the limit is 40320"),
         ("esd:7", "7", "esd:7 with n = 7 has 7^6 facets; the limit is 40320"),
     ])
-    def test_kind_size_cap(self, capsys, monkeypatch, kind, n, message):
+    def test_kind_size_cap(self, capsys, monkeypatch, tmp_path, kind, n, message):
         def refuse(*args, **kwargs):
             raise AssertionError("enumeration started before the size check")
 
-        for name in ("f_triangle", "barycentric", "edgewise"):
+        for name in ("f_triangle", "refine", "c_coefficients"):
             monkeypatch.setattr(cli_mod, name, refuse)
         code, out, err = run(capsys, "ftriangle", "--kind", kind, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+        # localh --via-uniform builds the same triangle for its input's n,
+        # and takes refinements only.
+        simplex = tmp_path / "simplex.json"
+        verts = list(range(1, int(n) + 1))
+        simplex.write_text(json.dumps({"vertices": verts, "facets": [verts]}))
+        if kind == "trivial":
+            message = "unknown subdivision kind 'trivial' (use sd or esd:R)"
+        code, out, err = run(capsys, "localh", "--input", str(simplex),
+                             "--via-uniform", kind)
         assert code == 2
         assert out == ""
         assert message in err
@@ -320,6 +334,84 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "thm-uniform", "--kinds", "esd:x")
         assert code == 2
         assert "edgewise" in err
+
+
+def _kind_argv(entry, simplex, kind):
+    return {
+        "subdivide": ["subdivide", "--input", simplex, "--kind", kind],
+        "localh": ["localh", "--input", simplex, "--via-uniform", kind],
+        "ftriangle": ["ftriangle", "--kind", kind, "--n", "3"],
+        "verify": ["verify", "thm-uniform", "--n", "2", "--seeds", "1",
+                   "--kinds", kind],
+    }[entry]
+
+
+BAD_X = "error: bad edgewise parameter in 'esd:x'\n"
+BAD_EMPTY = "error: bad edgewise parameter in 'esd:'\n"
+BAD_R = "error: edgewise parameter must be at least 1\n"
+WALL = "# wall time: Ts\n"
+
+
+def unknown(kind):
+    return f"error: unknown subdivision kind {kind!r} (use sd or esd:R)\n"
+
+
+def unknown_subdivide(kind):
+    return (f"error: unknown kind {kind!r} "
+            "(use sd, esd:R, stellar:V1,V2,..., random:STEPS)\n")
+
+
+class TestKindEntryPoints:
+    """Every command that takes a kind string reads it the same way."""
+
+    @pytest.mark.parametrize("entry, kind, code, err", [
+        ("subdivide", "sd", 0, ""),
+        ("subdivide", "esd:2", 0, ""),
+        ("subdivide", "esd:03", 0, ""),
+        ("subdivide", "esd:x", 2, BAD_X),
+        ("subdivide", "esd:", 2, BAD_EMPTY),
+        ("subdivide", "esd:0", 2, BAD_R),
+        ("subdivide", "esd:-2", 2, BAD_R),
+        ("subdivide", "trivial", 2, unknown_subdivide("trivial")),
+        ("subdivide", "barycentric", 2, unknown_subdivide("barycentric")),
+        ("subdivide", "fold", 2, unknown_subdivide("fold")),
+        ("localh", "sd", 0, ""),
+        ("localh", "esd:2", 0, ""),
+        ("localh", "esd:03", 0, ""),
+        ("localh", "esd:x", 2, BAD_X),
+        ("localh", "esd:", 2, BAD_EMPTY),
+        ("localh", "esd:0", 2, BAD_R),
+        ("localh", "esd:-2", 2, BAD_R),
+        ("localh", "trivial", 2, unknown("trivial")),
+        ("localh", "barycentric", 2, unknown("barycentric")),
+        ("localh", "fold", 2, unknown("fold")),
+        ("ftriangle", "sd", 0, ""),
+        ("ftriangle", "esd:2", 0, ""),
+        ("ftriangle", "esd:03", 0, ""),
+        ("ftriangle", "esd:x", 2, BAD_X),
+        ("ftriangle", "esd:", 2, BAD_EMPTY),
+        ("ftriangle", "esd:0", 2, BAD_R),
+        ("ftriangle", "esd:-2", 2, BAD_R),
+        ("ftriangle", "trivial", 0, ""),
+        ("ftriangle", "barycentric", 2, unknown("barycentric")),
+        ("ftriangle", "fold", 2, unknown("fold")),
+        ("verify", "sd", 0, WALL),
+        ("verify", "esd:2", 0, WALL),
+        ("verify", "esd:03", 0, WALL),
+        ("verify", "esd:x", 2, BAD_X),
+        ("verify", "esd:", 2, BAD_EMPTY),
+        ("verify", "esd:0", 2, BAD_R),
+        ("verify", "esd:-2", 2, BAD_R),
+        ("verify", "trivial", 2, unknown("trivial")),
+        ("verify", "barycentric", 2, unknown("barycentric")),
+        ("verify", "fold", 2, unknown("fold")),
+    ])
+    def test_exit_code_and_stderr(self, capsys, simplex3, entry, kind, code, err):
+        got_code, out, got_err = run(capsys, *_kind_argv(entry, simplex3, kind))
+        assert got_code == code
+        assert re.sub(r"^# wall time: \d+\.\d\ds$", "# wall time: Ts",
+                      got_err, flags=re.M) == err
+        assert (out != "") == (code == 0)
 
 
 class TestConfig:

@@ -42,12 +42,12 @@ P = parse_poly
 
 @lru_cache(maxsize=None)
 def bary(n):
-    return f_triangle("barycentric", n)
+    return f_triangle("sd", n)
 
 
 @lru_cache(maxsize=None)
 def esd(n, r):
-    return f_triangle("edgewise", n, r=r)
+    return f_triangle(f"esd:{r}", n)
 
 
 def sd3():

@@ -20,7 +20,9 @@ from subdiv.triangulate import (
     f_triangle_of,
     identity,
     iterated_sd,
+    parse_kind,
     random_triangulation,
+    refine,
     restriction,
     stellar,
     triangulation_from_json,
@@ -268,21 +270,21 @@ class TestFTriangle:
                 assert F.f(i, j) == math.comb(j, i)
 
     def test_barycentric_row(self):
-        F = f_triangle("barycentric", 3)
+        F = f_triangle("sd", 3)
         assert (F.f(1, 3), F.f(2, 3), F.f(3, 3)) == (7, 12, 6)
         assert F.f(1, 2) == 3 and F.f(2, 2) == 2
 
     def test_edgewise_rows(self):
-        F = f_triangle("edgewise", 3, r=3)
+        F = f_triangle("esd:3", 3)
         assert F.f(1, 2) == 4 and F.f(2, 2) == 3
         assert F.f(3, 3) == 9
 
     def test_of_barycentric_matches(self):
-        assert f_triangle_of(sd3()) == f_triangle("barycentric", 3)
+        assert f_triangle_of(sd3()) == f_triangle("sd", 3)
 
     def test_of_edgewise_matches(self):
         T = edgewise(trivial((1, 2, 3, 4)), 2)
-        assert f_triangle_of(T) == f_triangle("edgewise", 4, r=2)
+        assert f_triangle_of(T) == f_triangle("esd:2", 4)
 
     def test_stellar_apex_is_uniform(self):
         # one top face, identical edges: vacuously uniform per dimension
@@ -305,7 +307,43 @@ class TestFTriangle:
     def test_restriction_keeps_triangle(self):
         T = edgewise(trivial((1, 2, 3, 4)), 3)
         R = restriction(T, (1, 3, 4))
-        assert f_triangle_of(R) == f_triangle("edgewise", 3, r=3)
+        assert f_triangle_of(R) == f_triangle("esd:3", 3)
+
+    def test_old_kind_names_are_gone(self):
+        with pytest.raises(ValueError, match="unknown subdivision kind 'barycentric'"):
+            f_triangle("barycentric", 3)
+
+
+class TestKinds:
+    @pytest.mark.parametrize("kind, r", [
+        ("sd", None), ("esd:1", 1), ("esd:2", 2), ("esd:03", 3), ("esd:12", 12),
+    ])
+    def test_accepted(self, kind, r):
+        assert parse_kind(kind) == r
+
+    @pytest.mark.parametrize("kind, message", [
+        ("esd:x", "bad edgewise parameter in 'esd:x'"),
+        ("esd:", "bad edgewise parameter in 'esd:'"),
+        ("esd:2.5", "bad edgewise parameter in 'esd:2.5'"),
+        ("esd:0", "edgewise parameter must be at least 1"),
+        ("esd:-2", "edgewise parameter must be at least 1"),
+        ("fold", "unknown subdivision kind 'fold' (use sd or esd:R)"),
+        ("trivial", "unknown subdivision kind 'trivial' (use sd or esd:R)"),
+        ("barycentric", "unknown subdivision kind 'barycentric' (use sd or esd:R)"),
+        ("esd", "unknown subdivision kind 'esd' (use sd or esd:R)"),
+        ("SD", "unknown subdivision kind 'SD' (use sd or esd:R)"),
+    ])
+    def test_rejected(self, kind, message):
+        with pytest.raises(ValueError) as err:
+            parse_kind(kind)
+        assert str(err.value) == message
+
+    def test_refine_dispatches(self):
+        T = trivial((1, 2, 3))
+        assert refine(T, "sd") == barycentric(T)
+        assert refine(T, "esd:3") == edgewise(T, 3)
+        with pytest.raises(ValueError, match="unknown subdivision kind"):
+            refine(T, "trivial")
 
 
 class TestValidationAndJson:

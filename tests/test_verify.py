@@ -46,6 +46,19 @@ class TestReportShape:
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("no-such-suite")
 
+    @pytest.mark.parametrize("kinds, message", [
+        (("esd:0",), "edgewise parameter must be at least 1"),
+        (("foo",), "unknown subdivision kind 'foo' (use sd or esd:R)"),
+    ])
+    def test_bad_kind_rejected_before_any_case(self, monkeypatch, kinds, message):
+        def refuse(item):
+            raise AssertionError("a case ran before the kinds were checked")
+
+        monkeypatch.setattr(verify, "_run_case", refuse)
+        with pytest.raises(ValueError) as err:
+            run_suite("thm-uniform", kinds=kinds)
+        assert str(err.value) == message
+
 
 class TestDeterminism:
     def test_repeat_runs_agree(self):
@@ -129,6 +142,20 @@ class TestFailureDetection:
         problems: list[str] = []
         verify._structural(broken, 3, problems)
         assert problems
+
+    @pytest.mark.parametrize("case, params, ell, ref", [
+        ("_case_thm_sd", {"n": 3, "seed": 2, "steps": 6}, "5x+5x^2", "1+4x+x^2"),
+        ("_case_thm_esd", {"n": 3, "r": 3, "seed": 2, "steps": 6},
+         "7x+7x^2", "1+7x+x^2"),
+        ("_case_cor_sd", {"n": 3, "k": 1}, "x+x^2", "1+4x+x^2"),
+    ])
+    def test_certify_failure_details(self, monkeypatch, case, params, ell, ref):
+        run_case = getattr(verify, case)
+        monkeypatch.setattr(verify, "is_real_rooted", lambda f: False)
+        assert run_case(params).detail == f"not real-rooted: {ell}"
+        monkeypatch.setattr(verify, "is_real_rooted", lambda f: True)
+        monkeypatch.setattr(verify, "interlaces", lambda f, g: False)
+        assert run_case(params).detail == f"{ref} does not interlace {ell}"
 
     def test_structural_quiet_on_sound_input(self):
         problems: list[str] = []
