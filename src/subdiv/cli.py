@@ -125,6 +125,22 @@ def _capped_f_triangle(kind: str, n: int, what: str) -> FTriangle:
     return f_triangle(kind, n)
 
 
+def _refined_facets(T: Triangulation, r: int | None) -> int:
+    """Facets that refining ``T.total`` by sd (r None) or esd:r builds.
+
+    An m-vertex facet becomes m! facets under sd and r^(m-1) under
+    esd:r.  m and r are clamped where a term already exceeds
+    ``FACETS_CAP``, so the sum is exact up to the cap and stays cheap
+    past it.
+    """
+    if r is None:
+        return sum(factorial(min(len(h), TABLES_N_CAP + 1))
+                   for h in T.total.facets)
+    r = min(r, FACETS_CAP + 1)
+    top = FACETS_CAP.bit_length()  # 2^top > FACETS_CAP
+    return sum(r ** min(max(len(h) - 1, 0), top) for h in T.total.facets)
+
+
 def _load_triangulation(path: str) -> Triangulation:
     """Read triangulation JSON; a bare complex is lifted to identity."""
     try:
@@ -244,10 +260,14 @@ def cmd_subdivide(args, config: dict) -> int:
         out = random_triangulation(T.base.vertices, steps, seed=seed)
     else:
         try:
-            out = refine(T, kind)
+            r = parse_kind(kind)
         except UnknownKindError:
             raise CliError(f"unknown kind {kind!r} (use sd, esd:R, "
                            f"stellar:V1,V2,..., random:STEPS)") from None
+        if _refined_facets(T, r) > FACETS_CAP:
+            raise CliError(f"subdivide --kind {kind} would build more than "
+                           f"{FACETS_CAP} facets")
+        out = refine(T, kind)
     print(json.dumps(triangulation_to_json(out), sort_keys=True))
     return 0
 
@@ -433,7 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="apply a subdivision and print the result JSON")
     p.add_argument("--input", required=True, metavar="FILE")
     p.add_argument("--kind", required=True,
-                   help="sd | esd:R | stellar:V1,V2,... | random:STEPS")
+                   help="sd | esd:R | stellar:V1,V2,... | random:STEPS; "
+                        f"sd and esd:R are limited to {FACETS_CAP} "
+                        "refined facets")
     p.set_defaults(handler=cmd_subdivide)
 
     p = sub.add_parser("interlace", parents=[common],

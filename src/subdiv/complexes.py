@@ -1,11 +1,11 @@
 """Finite abstract simplicial complexes over integer vertex ids.
 
-A complex is stored by its inclusion-maximal faces; the full face list
-is enumerated lazily and memoized.  Two degenerate complexes are kept
-distinct on purpose: the void complex (no faces at all) and the empty
-complex whose only face is the empty set.  The latter carries
-h-polynomial 1 and shows up as the restriction of a subdivision to the
-empty base face, so the distinction is load-bearing.
+A complex is stored by its inclusion-maximal faces; the vertex tuple
+and the full face list are computed lazily and memoized.  Two
+degenerate complexes are kept distinct on purpose: the void complex (no
+faces at all) and the empty complex whose only face is the empty set.
+The latter carries h-polynomial 1 and shows up as the restriction of a
+subdivision to the empty base face, so the distinction is load-bearing.
 """
 
 from __future__ import annotations
@@ -41,14 +41,16 @@ class SimplicialComplex:
 
     Use :func:`from_facets`; the constructor trusts its arguments.
     Labels are provenance strings for display only and do not take part
-    in equality.
+    in equality.  ``vertices`` and ``faces()`` are computed on first use
+    and memoized, which is safe because the facets never change.
     """
 
-    __slots__ = ("facets", "labels", "_faces", "_face_set")
+    __slots__ = ("facets", "labels", "_vertices", "_faces", "_face_set")
 
     def __init__(self, facets: tuple[Face, ...], labels: dict[int, str]):
         self.facets = facets
         self.labels = labels
+        self._vertices: tuple[int, ...] | None = None
         self._faces: tuple[Face, ...] | None = None
         self._face_set: frozenset[Face] | None = None
 
@@ -58,7 +60,9 @@ class SimplicialComplex:
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted({v for f in self.facets for v in f}))
+        if self._vertices is None:
+            self._vertices = tuple(sorted({v for f in self.facets for v in f}))
+        return self._vertices
 
     def dimension(self) -> int:
         """Largest facet size minus one; -1 for empty, -2 for void."""

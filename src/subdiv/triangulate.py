@@ -411,6 +411,7 @@ def triangulation_from_json(obj) -> Triangulation:
     raw = obj["carrier"]
     if not isinstance(raw, dict):
         raise SchemaError("/carrier", "expected an object")
+    vertices = set(total.vertices)
     carriers: dict[int, Face] = {}
     for k, val in raw.items():
         where = f"/carrier/{k}"
@@ -418,7 +419,7 @@ def triangulation_from_json(obj) -> Triangulation:
             v = int(k)
         except ValueError:
             raise SchemaError(where, "key must be an integer vertex id") from None
-        if v not in total.vertices:
+        if v not in vertices:
             raise SchemaError(where, f"{v} is not a vertex of the total complex")
         if not isinstance(val, list) or not all(
                 isinstance(x, int) and not isinstance(x, bool) for x in val):

@@ -172,6 +172,59 @@ class TestSubdivide:
         assert code == 2
         assert "unknown kind" in err
 
+    @pytest.mark.parametrize("kind, facets", [
+        ("sd", [range(1, 10)]),                    # 9! facets
+        ("esd:201", [range(1, 4)]),                # 201^2
+        ("esd:6", [range(1, 9)]),                  # 6^7
+        ("sd", [range(1, 9), range(2, 10), range(3, 11)]),  # 3 * 8!
+        ("esd:" + "9" * 4000, [range(1, 4)]),      # a 4000-digit R
+    ], ids=["sd-9", "esd201-3", "esd6-8", "sd-three-8s", "esd-huge-r"])
+    def test_size_cap(self, capsys, monkeypatch, tmp_path, kind, facets):
+        def refuse(*args, **kwargs):
+            raise AssertionError("refinement started before the size check")
+
+        monkeypatch.setattr(cli_mod, "refine", refuse)
+        path = tmp_path / "complex.json"
+        facets = [list(f) for f in facets]
+        verts = sorted({v for f in facets for v in f})
+        path.write_text(json.dumps({"vertices": verts, "facets": facets}))
+        code, out, err = run(capsys, "subdivide", "--input", str(path),
+                             "--kind", kind)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: subdivide --kind {kind} would build more "
+                       "than 40320 facets\n")
+
+    def test_size_cap_is_inclusive(self, monkeypatch, tmp_path):
+        class Reached(Exception):
+            pass
+
+        def reached(T, kind):
+            raise Reached(kind)
+
+        monkeypatch.setattr(cli_mod, "refine", reached)
+        path = tmp_path / "simplex8.json"
+        verts = list(range(1, 9))
+        path.write_text(json.dumps({"vertices": verts, "facets": [verts]}))
+        with pytest.raises(Reached):  # exactly 8! = 40320 facets
+            main(["subdivide", "--input", str(path), "--kind", "sd"])
+
+    def test_second_sd_of_four_simplex(self, capsys, tmp_path):
+        """The paper's value for sd^2 of the 4-simplex, read from the
+        14,400-facet file that two ``subdivide --kind sd`` steps write."""
+        path = tmp_path / "simplex5.json"
+        path.write_text('{"vertices": [1, 2, 3, 4, 5], "facets": [[1, 2, 3, 4, 5]]}')
+        for name in ("sd1.json", "sd2.json"):
+            code, out, _ = run(capsys, "subdivide", "--input", str(path),
+                               "--kind", "sd")
+            assert code == 0
+            path = tmp_path / name
+            path.write_text(out)
+        assert len(json.loads(out)["total"]["facets"]) == 14400
+        code, out, _ = run(capsys, "localh", "--input", str(path))
+        assert code == 0
+        assert out == "541x+5381x^2+5381x^3+541x^4\n"
+
 
 class TestInterlace:
     def test_true_case(self, capsys):

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from subdiv.complexes import (
     SchemaError,
@@ -117,6 +117,21 @@ class TestFaces:
         for G in fs:
             for v in G:
                 assert tuple(x for x in G if x != v) in fs
+
+
+class TestVertices:
+    @given(
+        st.lists(
+            st.lists(st.integers(1, 8), max_size=4),
+            max_size=6,
+        )
+    )
+    @example([])  # the void complex
+    @example([[]])  # the empty complex
+    def test_memo_matches_facets(self, raw):
+        K = from_facets(raw)
+        assert K.vertices == tuple(sorted({v for f in K.facets for v in f}))
+        assert K.vertices is K.vertices
 
 
 class TestDimensionPurity:

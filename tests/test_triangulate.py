@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import outcome, perturbed, refined_stellar
-from subdiv.complexes import complex_to_json, from_facets, full_simplex, h_polynomial
+from subdiv import triangulate as triangulate_mod
+from subdiv.complexes import (
+    SchemaError,
+    complex_to_json,
+    from_facets,
+    full_simplex,
+    h_polynomial,
+)
 from subdiv.poly import parse_poly
 from subdiv.triangulate import (
     FTriangle,
@@ -370,6 +377,114 @@ class TestValidationAndJson:
         broken = Triangulation(T.base, T.total, {1: (1,), 2: (1,)})
         with pytest.raises(ValueError):
             validate_triangulation(broken)
+
+
+def _carrier_edit(edit):
+    """The wire form of sd of the edge {1,2} (vertices 1, 2 and the
+    midpoint 3), with ``edit`` applied to its carrier object."""
+    out = triangulation_to_json(barycentric(trivial((1, 2))))
+    edit(out["carrier"])
+    return out
+
+
+def _replace_carrier(value):
+    def edit(carriers):
+        carriers.clear()
+        carriers.update(value)
+    return edit
+
+
+class TestJsonRejections:
+    """Every loader rejection, with its JSON pointer and message."""
+
+    @pytest.mark.parametrize("edit, path, message", [
+        (lambda c: c.update({"x": [1]}),
+         "/carrier/x", "key must be an integer vertex id"),
+        (lambda c: c.update({"9": [1]}),
+         "/carrier/9", "9 is not a vertex of the total complex"),
+        (lambda c: c.update({"2": 2}),
+         "/carrier/2", "carrier must be a list of integers"),
+        (lambda c: c.update({"2": [True]}),
+         "/carrier/2", "carrier must be a list of integers"),
+        (lambda c: c.update({"3": [1, 2.0]}),
+         "/carrier/3", "carrier must be a list of integers"),
+        (lambda c: c.update({"3": []}),
+         "/carrier/3", "() is not a nonempty face of the base"),
+        (lambda c: c.update({"3": [1, 9]}),
+         "/carrier/3", "(1, 9) is not a nonempty face of the base"),
+        (lambda c: c.pop("3"),
+         "/carrier", "missing carriers for vertices [3]"),
+        (lambda c: c.clear(),
+         "/carrier", "missing carriers for vertices [1, 2, 3]"),
+        # the first offender in key order is reported
+        (_replace_carrier({"1": [1], "x": [1], "9": [1]}),
+         "/carrier/x", "key must be an integer vertex id"),
+        (_replace_carrier({"1": [1], "9": [1], "x": [1]}),
+         "/carrier/9", "9 is not a vertex of the total complex"),
+        (_replace_carrier({"2": [9], "1": "a"}),
+         "/carrier/2", "(9,) is not a nonempty face of the base"),
+        (_replace_carrier({"1": [1], "2": []}),
+         "/carrier/2", "() is not a nonempty face of the base"),
+    ], ids=["key-not-int", "key-not-vertex", "not-a-list", "bool",
+            "float", "empty", "not-base-face", "one-missing", "all-missing",
+            "first-bad-key", "first-unknown-vertex", "first-bad-face",
+            "bad-face-before-missing"])
+    def test_carrier_errors(self, edit, path, message):
+        with pytest.raises(SchemaError) as err:
+            triangulation_from_json(_carrier_edit(edit))
+        assert (err.value.path, err.value.message) == (path, message)
+
+    @pytest.mark.parametrize("obj, path, message", [
+        ([], "", "expected an object"),
+        ({"total": {}, "carrier": {}}, "/base", "missing required key"),
+        ({"base": {}, "carrier": {}}, "/total", "missing required key"),
+        ({"base": {}, "total": {}}, "/carrier", "missing required key"),
+        ({"base": {"vertices": [1]}, "total": {}, "carrier": {}},
+         "/base/facets", "missing required key"),
+        ({"base": {"vertices": [1], "facets": [[1]]},
+          "total": {"vertices": [1], "facets": [[1, "a"]]}, "carrier": {}},
+         "/total/facets/0/1", "expected an integer, got 'a'"),
+        ({"base": {"vertices": [1], "facets": [[1]]},
+          "total": {"vertices": [1], "facets": [[1]]}, "carrier": []},
+         "/carrier", "expected an object"),
+    ], ids=["not-object", "no-base", "no-total", "no-carrier",
+            "nested-base", "nested-total", "carrier-not-object"])
+    def test_shape_errors(self, obj, path, message):
+        with pytest.raises(SchemaError) as err:
+            triangulation_from_json(obj)
+        assert (err.value.path, err.value.message) == (path, message)
+
+
+class TestLinearLoad:
+    """Loading scans the total's facets a fixed number of times."""
+
+    @staticmethod
+    def facet_scans(monkeypatch, T) -> int:
+        scans = []
+
+        class CountingFacets(tuple):
+            def __iter__(self):
+                scans.append(1)
+                return super().__iter__()
+
+        real = triangulate_mod._nested_complex
+
+        def counting(obj, key):
+            K = real(obj, key)
+            if key == "total":
+                K.facets = CountingFacets(K.facets)
+            return K
+
+        monkeypatch.setattr(triangulate_mod, "_nested_complex", counting)
+        assert triangulation_from_json(triangulation_to_json(T)) == T
+        return len(scans)
+
+    def test_scans_do_not_grow_with_vertices(self, monkeypatch):
+        small = trivial((1, 2, 3))
+        large = iterated_sd((1, 2, 3), 3)  # 121 vertices
+        assert len(large.total.vertices) > 30 * len(small.total.vertices)
+        assert (self.facet_scans(monkeypatch, large)
+                == self.facet_scans(monkeypatch, small))
 
 
 @st.composite
