@@ -161,12 +161,8 @@ def _emit_poly(f: Poly, fmt: str, key: str = "local_h") -> None:
     elif fmt == "json":
         print(json.dumps({key: poly_to_json(f)}, sort_keys=True))
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["power", "coefficient"])
-        for k, c in enumerate(f):
-            writer.writerow([k, c])
-        sys.stdout.write(buf.getvalue())
+        rows = [[str(k), str(c)] for k, c in enumerate(f)]
+        sys.stdout.write(_render_grid(["power", "coefficient"], rows, "csv"))
 
 
 def _render_grid(header: list[str], rows: list[list[str]], fmt: str) -> str:
@@ -286,11 +282,8 @@ def cmd_interlace(args, config: dict) -> int:
         }
         print(json.dumps(body, sort_keys=True))
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["interlaces", "reason"])
-        writer.writerow([str(report.ok).lower(), report.reason])
-        sys.stdout.write(buf.getvalue())
+        row = [str(report.ok).lower(), report.reason]
+        sys.stdout.write(_render_grid(["interlaces", "reason"], [row], "csv"))
     else:
         print("true" if report.ok else "false")
         if args.explain:
@@ -388,12 +381,9 @@ def cmd_verify(args, config: dict) -> int:
     if fmt == "json":
         print(json.dumps(_report_body(report), sort_keys=True))
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["case", "ok", "detail"])
-        for case in report.cases:
-            writer.writerow([case.label, str(case.ok).lower(), case.detail])
-        sys.stdout.write(buf.getvalue())
+        rows = [[case.label, str(case.ok).lower(), case.detail]
+                for case in report.cases]
+        sys.stdout.write(_render_grid(["case", "ok", "detail"], rows, "csv"))
     else:
         print(f"suite {report.suite}: {report.cases_run} cases, "
               f"{len(report.failures)} failures")

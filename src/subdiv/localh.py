@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import full_simplex, h_from_f_vector
+from .complexes import h_from_f_vector
 from .perm import d_nkj, derangement_counts
 from .poly import Poly, add, binom, mul, normalize, power, scale
 from .triangulate import FTriangle, Triangulation, face_table, restriction
@@ -28,7 +28,7 @@ from .triangulate import FTriangle, Triangulation, face_table, restriction
 
 def _require_simplex_base(T: Triangulation) -> tuple[int, ...]:
     verts = T.base.vertices
-    if T.base != full_simplex(verts):
+    if T.base.facets != (verts,):
         raise ValueError("the base complex must be a full simplex")
     return verts
 

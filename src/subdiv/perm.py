@@ -1,4 +1,4 @@
-"""Permutation and word statistics and their enumerating polynomials.
+"""Permutation statistics and their enumerating polynomials.
 
 Permutations are tuples in one-line notation over [n], 1-indexed: w[i-1]
 is the image of i. Enumerations over S_n are capped at n <= 10 (10! is a
@@ -7,10 +7,8 @@ few seconds of work; everything downstream needs n <= 8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
-from typing import Iterator
+from itertools import permutations
 
 from .poly import Poly, normalize, power, veronese
 
@@ -39,26 +37,8 @@ def ascents(w: Perm) -> int:
     return sum(1 for i in range(len(w) - 1) if w[i] < w[i + 1])
 
 
-def excedances(w: Perm) -> int:
-    return sum(1 for i, v in enumerate(w, start=1) if v > i)
-
-
 def fixed_points(w: Perm) -> frozenset[int]:
     return frozenset(i for i, v in enumerate(w, start=1) if v == i)
-
-
-@dataclass(frozen=True)
-class PermStats:
-    des: int
-    asc: int
-    exc: int
-    fix: frozenset[int]
-
-
-def stats(w: Perm) -> PermStats:
-    """Descent, ascent, excedance and fixed-point data of w."""
-    _check_perm(w)
-    return PermStats(descents(w), ascents(w), excedances(w), fixed_points(w))
 
 
 def _counts_to_poly(counts: dict[int, int]) -> Poly:
@@ -89,18 +69,6 @@ def p_nk(n: int, k: int) -> Poly:
     for tail in permutations(rest):
         d = descents((k + 1,) + tail)
         counts[d] = counts.get(d, 0) + 1
-    return _counts_to_poly(counts)
-
-
-def p_nk_via_excedance(n: int, k: int) -> Poly:
-    """Excedance enumerator over permutations of [n+1] sending k+1 to 1."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    table = _sweep(n + 1)
-    counts: dict[int, int] = {}
-    for (maxfix, jpos, exc), cnt in table.items():
-        if jpos == k + 1:
-            counts[exc] = counts.get(exc, 0) + cnt
     return _counts_to_poly(counts)
 
 
@@ -201,19 +169,6 @@ def bad_points(w: Perm) -> frozenset[int]:
     return frozenset(out)
 
 
-def d_nk_via_bad_points(n: int, k: int) -> Poly:
-    """Ascent enumerator over w in S_n whose bad points lie in [n-k]."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    _check_enum(n)
-    counts: dict[int, int] = {}
-    for w in permutations(range(1, n + 1)):
-        if all(b <= n - k for b in bad_points(w)):
-            a = ascents(w)
-            counts[a] = counts.get(a, 0) + 1
-    return _counts_to_poly(counts)
-
-
 def derangement_counts(n: int) -> tuple[int, ...]:
     """Number of fixed-point-free permutations of [n] by excedance count.
 
@@ -229,37 +184,13 @@ def derangement_counts(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def words(n: int, r: int) -> Iterator[tuple[int, ...]]:
-    """All maps {0..n-1} -> {0..r-1} with first letter 0."""
-    if n < 1 or r < 1:
-        raise ValueError("words need n >= 1 and r >= 1")
-    for tail in product(range(r), repeat=n - 1):
-        yield (0,) + tail
-
-
-def word_ascents(w: tuple[int, ...]) -> int:
-    return sum(1 for i in range(1, len(w)) if w[i - 1] < w[i])
-
-
-def e_nr_words(n: int, r: int) -> Poly:
-    counts: dict[int, int] = {}
-    for w in words(n, r):
-        a = word_ascents(w)
-        counts[a] = counts.get(a, 0) + 1
-    return _counts_to_poly(counts)
-
-
-def e_nr_veronese(n: int, r: int) -> Poly:
-    if n < 1 or r < 1:
-        raise ValueError("need n >= 1 and r >= 1")
-    return veronese(power((1,) * r, n), r, 0)
-
-
 def E_nr(n: int, r: int) -> Poly:
     """h-polynomial of the r-fold edgewise subdivision of the simplex on
     n vertices, computed as a Veronese section of ``(1+x+...+x^(r-1))^n``.
 
-    ``e_nr_words`` counts the same polynomial by word ascents; the tests
-    check that the two routes agree.
+    It equals the ascent enumerator of the words {0..n-1} -> {0..r-1}
+    with first letter 0.
     """
-    return e_nr_veronese(n, r)
+    if n < 1 or r < 1:
+        raise ValueError("need n >= 1 and r >= 1")
+    return veronese(power((1,) * r, n), r, 0)

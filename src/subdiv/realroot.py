@@ -1,10 +1,13 @@
 """Exact certificates for real-rootedness and interlacing.
 
 Everything here runs over exact rational arithmetic on signed remainder
-sequences with content-stripped integer entries.  Yes/no answers are
-certified by sign counts at +-infinity, which read only leading
-coefficients and degrees: a Sturm count of the squarefree part for
-real-rootedness, and a Cauchy index for interlacing (the
+sequences with content-stripped integer entries.  The signed remainder
+sequence is the only gcd routine: its last entry is the gcd of its two
+inputs up to a constant.  Yes/no answers are certified by one sign
+count at +-infinity each, which reads only leading coefficients and
+degrees: ``f`` is real-rooted when the Sturm count of distinct real
+roots reaches ``deg f - deg gcd(f, f')``, and ``f`` interlaces ``g``
+when the Cauchy index of ``f/g`` reaches ``deg g - deg gcd(f, g)`` (the
 Hermite-Kakeya-Obreschkoff criterion).  Root isolation (Yun's
 squarefree decomposition for multiplicities, and bisection only down to
 isolating intervals whose endpoints are certified non-roots) serves
@@ -84,34 +87,10 @@ def _div_exact(f: Poly, g: Poly) -> Poly:
     return q
 
 
-def _gcd_monic(f: Poly, g: Poly) -> Poly:
-    a, b = normalize(f), normalize(g)
-    while b:
-        a, b = b, _divmod(a, b)[1]
-    if not a:
-        return ()
-    lead = Fraction(a[-1])
-    return tuple(Fraction(c) / lead for c in a)
-
-
-def squarefree_part(f: Poly) -> Poly:
-    """Quotient of ``f`` by ``gcd(f, f')``, primitive with positive lead.
-
-    Raises ``ValueError`` on the zero polynomial; the result has the
-    same distinct roots as ``f``, each simple.
-    """
-    if not f:
-        raise ValueError("the zero polynomial has no squarefree part")
-    if degree(f) == 0:
-        return (1,)
-    g = _gcd_monic(f, derivative(f))
-    return _pos_primitive(_div_exact(f, g))
-
-
 @lru_cache(maxsize=8192)
 def _yun_cached(f: Poly) -> tuple[tuple[Poly, int], ...]:
     fr = _to_fractions(f)
-    g = _gcd_monic(fr, derivative(fr))
+    g = sturm_chain(f)[-1]
     if degree(g) == 0:
         return ((_pos_primitive(fr), 1),)
     b = _div_exact(fr, g)
@@ -119,7 +98,7 @@ def _yun_cached(f: Poly) -> tuple[tuple[Poly, int], ...]:
     out: list[tuple[Poly, int]] = []
     i = 1
     while degree(b) > 0:
-        a = _gcd_monic(b, normalize(d))
+        a = _remainder_sequence(b, normalize(d))[-1]
         if degree(a) > 0:
             out.append((_pos_primitive(a), i))
         b2 = _div_exact(b, a)
@@ -349,17 +328,16 @@ class RootIsolation:
 def is_real_rooted(f: Poly) -> bool:
     """True when every complex root of ``f`` is real.
 
-    The zero polynomial and constants count as real-rooted.
+    The Sturm chain of ``f`` counts its distinct real roots even when
+    ``f`` has repeated roots, and its last entry is ``gcd(f, f')``, so
+    ``f`` has ``deg f - deg gcd(f, f')`` distinct roots in all.  The
+    zero polynomial and constants count as real-rooted.
     """
-    return _is_real_rooted_cached(tuple(f))
-
-
-@lru_cache(maxsize=8192)
-def _is_real_rooted_cached(f: Poly) -> bool:
-    if not f or degree(f) == 0:
+    f = normalize(f)
+    if not f:
         return True
-    sf = squarefree_part(f)
-    return _index_at_infinity(sturm_chain(sf)) == degree(sf)
+    chain = sturm_chain(f)
+    return _index_at_infinity(chain) == degree(f) - degree(chain[-1])
 
 
 def isolate_roots(f: Poly) -> RootIsolation:
@@ -436,13 +414,14 @@ def _interlace_core(f: Poly, g: Poly) -> tuple[bool, str]:
         return False, f"degree {df} outside window [{dg - 1}, {dg}]"
     if dg < 1:
         return True, "no roots to compare"
-    # Hermite-Kakeya-Obreschkoff: after the common factor is divided
-    # out, f interlaces g exactly when the Cauchy index of p/q over the
-    # real line reaches its maximum, deg q.
-    h = _gcd_monic(f, g)
-    p = _pos_primitive(_div_exact(f, h))
-    q = _pos_primitive(_div_exact(g, h))
-    if _index_at_infinity(_remainder_sequence(q, p)) != degree(q):
+    # Hermite-Kakeya-Obreschkoff: with h = gcd(f, g), f interlaces g
+    # exactly when the Cauchy index of f/g over the real line reaches
+    # its maximum, deg g - deg h.  The sequence of (g, f) is h times
+    # that of (g/h, f/h) and ends in h, and a common factor does not
+    # change the sign counts at +-infinity.  The index changes sign
+    # with either leading coefficient, so both are made positive.
+    chain = _remainder_sequence(_pos_primitive(g), _pos_primitive(f))
+    if _index_at_infinity(chain) != dg - degree(chain[-1]):
         return False, "root alternation fails"
     return True, "roots weakly alternate"
 

@@ -254,6 +254,46 @@ class TestInterlace:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("f, g, code, explain, body", [
+        ("1+4x+x^2", "x+4x^2+x^3", 0,
+         "true\nreason: roots weakly alternate\n"
+         "roots of f: (-5, -5/2), (-5/2, 0)\n"
+         "roots of g: (-5, -5/2), (-5/16, -5/32), 0\n",
+         '"f_roots": "(-5, -5/2), (-5/2, 0)", '
+         '"g_roots": "(-5, -5/2), (-5/16, -5/32), 0", '
+         '"interlaces": true, "reason": "roots weakly alternate"'),
+        ("1+4x+x^2", "1+x^2", 1,
+         "false\nreason: second polynomial is not real-rooted\n"
+         "roots of f: (-5, -5/2), (-5/2, 0)\n",
+         '"f_roots": "(-5, -5/2), (-5/2, 0)", "g_roots": null, '
+         '"interlaces": false, "reason": "second polynomial is not real-rooted"'),
+        ("2+3x+x^2", "2+5x+4x^2+x^3", 0,
+         "true\nreason: roots weakly alternate\n"
+         "roots of f: -2, -1\nroots of g: -2, -1 x2\n",
+         '"f_roots": "-2, -1", "g_roots": "-2, -1 x2", '
+         '"interlaces": true, "reason": "roots weakly alternate"'),
+        ("x^2-2", "x+x^2-3", 1,
+         "false\nreason: root alternation fails\n"
+         "roots of f: (-3, 0), (0, 3)\nroots of g: (-4, 0), (0, 4)\n",
+         '"f_roots": "(-3, 0), (0, 3)", "g_roots": "(-4, 0), (0, 4)", '
+         '"interlaces": false, "reason": "root alternation fails"'),
+        ("1+2x+x^2", "1+x", 1,
+         "false\nreason: degree 2 outside window [0, 1]\n"
+         "roots of f: -1 x2\nroots of g: -1\n",
+         '"f_roots": "-1 x2", "g_roots": "-1", '
+         '"interlaces": false, "reason": "degree 2 outside window [0, 1]"'),
+    ])
+    def test_pinned_stdout(self, capsys, f, g, code, explain, body):
+        assert run(capsys, "interlace", f, g, "--explain") == (code, explain, "")
+        assert run(capsys, "interlace", f, g, "--format", "json") == (
+            code, "{" + body + "}\n", "")
+        ok, reason = explain.splitlines()[:2]
+        reason = reason.removeprefix("reason: ")
+        if "," in reason:
+            reason = f'"{reason}"'
+        assert run(capsys, "interlace", f, g, "--format", "csv") == (
+            code, f"interlaces,reason\r\n{ok},{reason}\r\n", "")
+
 
 class TestFTriangle:
     def test_kind_edgewise(self, capsys):
@@ -340,6 +380,40 @@ class TestStatPoly:
         code, _, err = run(capsys, "stat-poly", "--family", "d",
                            "--params", "11,0")
         assert code == 2
+
+
+class TestCsvBytes:
+    def test_localh(self, capsys, tmp_path):
+        path = write_triangulation(tmp_path, barycentric(trivial((1, 2, 3, 4))))
+        assert run(capsys, "localh", "--input", path, "--format", "csv") == (
+            0, "power,coefficient\r\n0,0\r\n1,1\r\n2,7\r\n3,1\r\n", "")
+        assert run(capsys, "localh", "--input", path, "--via-uniform", "esd:2",
+                   "--format", "csv") == (
+            0, "power,coefficient\r\n0,0\r\n1,15\r\n2,87\r\n3,15\r\n", "")
+
+    @pytest.mark.parametrize("family, params, out", [
+        ("E", "4,3", "power,coefficient\r\n0,1\r\n1,16\r\n2,10\r\n"),
+        ("d", "3,1,2", "power,coefficient\r\n0,0\r\n1,1\r\n2,3\r\n"),
+        ("d", "1,1", "power,coefficient\r\n"),
+    ])
+    def test_stat_poly(self, capsys, family, params, out):
+        assert run(capsys, "stat-poly", "--family", family, "--params", params,
+                   "--format", "csv") == (0, out, "")
+
+    @pytest.mark.parametrize("argv, out", [
+        (["thm-sd", "--n", "2", "--seeds", "1..3"],
+         "case,ok,detail\r\n"
+         "n=2 seed=1 steps=6,true,steps=1 ell=3x\r\n"
+         "n=2 seed=2 steps=6,true,steps=2 ell=5x\r\n"
+         "n=2 seed=3 steps=6,true,steps=3 ell=7x\r\n"),
+        (["esd-counterexample"],
+         "case,ok,detail\r\n"
+         '"input=esd_2(stellar simplex), n=6",true,'
+         "ell=7x+42x^2+63x^3+42x^4+7x^5 and not real-rooted\r\n"),
+    ])
+    def test_verify(self, capsys, argv, out):
+        code, stdout, _ = run(capsys, "verify", *argv, "--format", "csv")
+        assert (code, stdout) == (0, out)
 
 
 class TestVerifyCommand:

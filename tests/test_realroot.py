@@ -5,6 +5,8 @@ of linear factors are real-rooted; a planted conjugate pair is not), so
 the checks are exact rather than numerically informed.
 """
 
+import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from subdiv.perm import E_nr, d_nkj, eulerian
 from subdiv.poly import (
     add,
     degree,
+    derivative,
     eval_at,
     mul,
     normalize,
@@ -29,13 +32,13 @@ from subdiv.realroot import (
     _count_roots,
     _interlace_core,
     _isolate_squarefree,
+    _remainder_sequence,
     cauchy_bound,
     interlace_report,
     interlaces,
     is_interlacing_sequence,
     is_real_rooted,
     isolate_roots,
-    squarefree_part,
     sturm_chain,
     yun_decomposition,
 )
@@ -46,20 +49,20 @@ COUNTEREXAMPLE = P("7x+42x^2+63x^3+42x^4+7x^5")
 
 class TestSquarefree:
     def test_repeated_root_removed(self):
-        assert squarefree_part(P("1+2x+x^2")) == (1, 1)
+        assert _oracle_squarefree(P("1+2x+x^2")) == (1, 1)
 
     def test_already_squarefree(self):
-        assert squarefree_part(P("1+4x+x^2")) == (1, 4, 1)
+        assert _oracle_squarefree(P("1+4x+x^2")) == (1, 4, 1)
 
     def test_monomial(self):
-        assert squarefree_part((0, 0, 0, 1)) == (0, 1)
+        assert _oracle_squarefree((0, 0, 0, 1)) == (0, 1)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            squarefree_part(())
+            _oracle_squarefree(())
 
     def test_sign_normalization(self):
-        assert squarefree_part((-1, -2, -1)) == (1, 1)
+        assert _oracle_squarefree((-1, -2, -1)) == (1, 1)
 
     def test_yun(self):
         # x (1+x)^3 (2+x)^2
@@ -304,13 +307,55 @@ class TestSectionSequences:
 # Oracle: the slot route that certified interlacing before the Cauchy
 # index did.  It isolates every distinct root of f*g, counts each
 # polynomial's multiplicity per root slot and walks the alternation.
+# Its gcds come from a Euclid of its own over Fraction, never from the
+# tail of a remainder sequence in the code under test.
+
+
+def _oracle_divmod(f, g):
+    q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
+    r = [Fraction(c) for c in f]
+    while r and len(r) >= len(g):
+        k = len(r) - len(g)
+        q[k] = r[-1] / g[-1]
+        for i, c in enumerate(g):
+            r[k + i] -= q[k] * c
+        r.pop()
+        r = list(normalize(r))
+    return normalize(q), tuple(r)
+
+
+def _oracle_gcd(f, g):
+    """Monic gcd of ``f`` and ``g`` by Euclid; () when both are zero."""
+    a, b = normalize(f), normalize(g)
+    while b:
+        a, b = b, _oracle_divmod(a, b)[1]
+    return tuple(Fraction(c) / a[-1] for c in a) if a else ()
+
+
+def _oracle_primitive(f):
+    """Integer multiple of ``f`` with content 1 and positive lead."""
+    fr = [Fraction(c) for c in f]
+    scale = math.lcm(*(c.denominator for c in fr))
+    ints = [int(c * scale) for c in fr]
+    content = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return tuple(c // content for c in ints)
+
+
+def _oracle_squarefree(f):
+    """``f / gcd(f, f')``: the distinct roots of ``f``, each simple."""
+    f = normalize(f)
+    if not f:
+        raise ValueError("the zero polynomial has no squarefree part")
+    q, r = _oracle_divmod(f, _oracle_gcd(f, derivative(f)))
+    assert not r
+    return _oracle_primitive(q)
 
 
 def _oracle_real_rooted(f):
     f = normalize(f)
     if not f or degree(f) == 0:
         return True
-    sf = squarefree_part(f)
+    sf = _oracle_squarefree(f)
     bound = cauchy_bound(sf)
     return _count_roots(sturm_chain(sf), -bound, bound, {}) == degree(sf)
 
@@ -323,16 +368,19 @@ def _oracle_slots(sf):
 
 
 def _oracle_multiplicities(f, slots):
+    # A root of multiplicity m divides f, gcd(f, f'), ... exactly m times.
+    # A slot holds one distinct root of f*g and no root at an interval
+    # endpoint, so a squarefree divisor has it there exactly when it
+    # vanishes at a point slot or changes sign across an interval.
     counts = [0] * len(slots)
-    for factor, mult in yun_decomposition(f):
-        chain = sturm_chain(factor)
-        cache: dict = {}
+    p = normalize(f)
+    while degree(p) > 0:
+        sf = _oracle_squarefree(p)
         for idx, (a, b) in enumerate(slots):
-            if a == b:
-                if eval_at(factor, a) == 0:
-                    counts[idx] += mult
-            elif _count_roots(chain, a, b, cache) == 1:
-                counts[idx] += mult
+            if (eval_at(sf, a) == 0 if a == b
+                    else eval_at(sf, a) * eval_at(sf, b) < 0):
+                counts[idx] += 1
+        p = _oracle_gcd(p, derivative(p))
     return counts
 
 
@@ -352,7 +400,7 @@ def _oracle_interlace(f, g):
     df, dg = degree(f), degree(g)
     if not (dg - 1 <= df <= dg):
         return False, f"degree {df} outside window [{dg - 1}, {dg}]"
-    sf = squarefree_part(mul(f, g))
+    sf = _oracle_squarefree(mul(f, g))
     if degree(sf) < 1:
         return True, "no roots to compare"
     slots = _oracle_slots(sf)
@@ -432,3 +480,86 @@ class TestAgainstSlotOracle:
         for f in fs:
             for g in fs:
                 assert _interlace_core(f, g) == _oracle_interlace(f, g)
+
+
+def _proportional(p, q):
+    """True when ``p`` is a nonzero scalar multiple of ``q``."""
+    return bool(p) and len(p) == len(q) and all(
+        a * q[-1] == b * p[-1] for a, b in zip(p, q))
+
+
+class TestChainTailGcd:
+    @settings(max_examples=300, deadline=None)
+    @given(_poly_pairs())
+    def test_tails_factors_and_coprimality(self, pair):
+        f, g = pair
+        if f:
+            assert _proportional(sturm_chain(f)[-1], _oracle_gcd(f, derivative(f)))
+        if f and g:
+            assert _proportional(_remainder_sequence(f, g)[-1], _oracle_gcd(f, g))
+        if degree(f) < 1:
+            return
+        decomp = yun_decomposition(f)
+        product = (1,)
+        for factor, mult in decomp:
+            product = mul(product, power(factor, mult))
+        assert _proportional(product, f)
+        for i, (a, _) in enumerate(decomp):
+            for b, _ in decomp[i + 1:]:
+                assert _oracle_gcd(a, b) == (1,)
+
+
+def _pin_corpus():
+    """Pairs from grid roots with shared and repeated roots, x^2+1
+    factors, negative leads, and zero and constant polynomials."""
+    rng = random.Random(20261018)
+    pairs = []
+    for _ in range(300):
+        common = [rng.choice(GRID) for _ in range(rng.randint(0, 2))]
+        g_own = sorted(rng.choice(GRID) for _ in range(rng.randint(0, 4)))
+        if rng.random() < 0.5:
+            # roots of f in the closed gaps of g, as in _poly_pairs
+            f_own = [rng.choice([c for c in GRID if a <= c <= b])
+                     for a, b in zip(g_own, g_own[1:])]
+            f_own += [rng.choice(GRID) for _ in range(rng.randint(0, 1))]
+        else:
+            size = max(0, len(g_own) + rng.choice((-2, -1, 0, 0, 1)))
+            f_own = [rng.choice(GRID) for _ in range(size)]
+        for own in (f_own, g_own):
+            if own and rng.random() < 0.3:
+                own.append(rng.choice(own))
+        f, g = (_from_roots(rng.choice((-3, -2, -1, 1, 2, 3)), common + own,
+                            int(rng.random() < 0.1))
+                for own in (f_own, g_own))
+        zero = rng.randrange(20)
+        pairs.append((() if zero in (0, 2) else f, () if zero in (1, 2) else g))
+    return pairs
+
+
+class TestPinnedOutput:
+    def test_corpus_covers_the_cases(self):
+        pairs = _pin_corpus()
+        polys = [p for pair in pairs for p in pair]
+        assert any(not p for p in polys)
+        assert any(degree(p) == 0 for p in polys)
+        assert any(p and p[-1] < 0 for p in polys)
+        assert any(p and not is_real_rooted(p) for p in polys)
+        assert any(any(m > 1 for _, m in yun_decomposition(p))
+                   for p in polys if degree(p) > 0)
+        assert any(degree(_oracle_gcd(f, g)) > 0
+                   for f, g in pairs if f and g)
+
+    def test_reports_and_decompositions_digest(self):
+        def pretty(iso):
+            return iso.pretty() if iso else None
+
+        lines = []
+        for f, g in _pin_corpus():
+            rep = interlace_report(f, g)
+            lines.append(repr((
+                rep.ok, rep.reason, pretty(rep.f_isolation), pretty(rep.g_isolation),
+                [yun_decomposition(p) if p else None for p in (f, g)],
+            )))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == (
+            "d8dde62f7208d7af19ff3d1f8bfa1e2386757019304130a7557eb086fada0dc2")
