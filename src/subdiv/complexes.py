@@ -39,7 +39,10 @@ class SchemaError(ValueError):
 class SimplicialComplex:
     """Immutable complex determined by its facets.
 
-    Use :func:`from_facets`; the constructor trusts its arguments.
+    Build one with :func:`from_facets`, which normalizes and checks its
+    input.  The constructor itself checks nothing: it expects distinct,
+    inclusion-maximal facets as sorted int tuples in canonical order,
+    and labels naming only their vertices.
     Labels are provenance strings for display only and do not take part
     in equality.  ``vertices`` and ``faces()`` are computed on first use
     and memoized, which is safe because the facets never change.
@@ -110,7 +113,21 @@ class SimplicialComplex:
 
 def from_facets(facets, labels: dict[int, str] | None = None) -> SimplicialComplex:
     """Build a complex, dropping duplicate and dominated facets."""
-    candidates = sorted({face(f) for f in facets}, key=len, reverse=True)
+    K = _from_sorted_facets([face(f) for f in facets], dict(labels) if labels else {})
+    if K.labels and not set(K.labels) <= set(K.vertices):
+        raise ValueError("labels reference vertices outside the complex")
+    return K
+
+
+def _from_sorted_facets(facets, labels: dict[int, str]) -> SimplicialComplex:
+    """:func:`from_facets` for trusted input, with nothing re-checked.
+
+    Each facet must be a sorted tuple of distinct ints and every label
+    key a vertex of some facet; the package's own builders guarantee
+    both.  Duplicate and dominated facets are still dropped, and
+    ``labels`` is kept as given, not copied.
+    """
+    candidates = sorted(set(facets), key=len, reverse=True)
     kept: list[Face] = []
     dominators: list[set] = []  # kept facets strictly larger than the current one
     promoted = 0
@@ -122,16 +139,12 @@ def from_facets(facets, labels: dict[int, str] | None = None) -> SimplicialCompl
         if not any(fs <= g for g in dominators):
             kept.append(f)
     kept.sort(key=lambda g: (len(g), g))
-    labels = dict(labels) if labels else {}
-    vertex_set = {v for f in kept for v in f}
-    if not set(labels) <= vertex_set:
-        raise ValueError("labels reference vertices outside the complex")
     return SimplicialComplex(tuple(kept), labels)
 
 
 def full_simplex(vertices) -> SimplicialComplex:
     """The complex of all subsets of the given vertex set."""
-    return from_facets([face(vertices)])
+    return _from_sorted_facets([face(vertices)], {})
 
 
 def h_polynomial(K: SimplicialComplex, n: int | None = None) -> Poly:
@@ -249,10 +262,10 @@ def complex_from_json(obj) -> SimplicialComplex:
     for i, raw in enumerate(raw_facets):
         if not isinstance(raw, list):
             raise SchemaError(f"/facets/{i}", "expected a list of vertex ids")
-        f = tuple(_expect_int(v, f"/facets/{i}/{j}") for j, v in enumerate(raw))
-        if not set(f) <= declared:
+        f = {_expect_int(v, f"/facets/{i}/{j}") for j, v in enumerate(raw)}
+        if not f <= declared:
             raise SchemaError(f"/facets/{i}", "facet uses undeclared vertices")
-        facets.append(f)
+        facets.append(tuple(sorted(f)))
     used = {v for f in facets for v in f}
     if used != declared:
         missing = sorted(declared - used)
@@ -272,4 +285,6 @@ def complex_from_json(obj) -> SimplicialComplex:
             if not isinstance(val, str):
                 raise SchemaError(f"/labels/{key}", "label must be a string")
             labels[v] = val
-    return from_facets(facets, labels=labels)
+    # Every entry is an int and every label names a used vertex, which
+    # is all that from_facets would check again.
+    return _from_sorted_facets(facets, labels)

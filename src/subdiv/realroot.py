@@ -21,7 +21,8 @@ their roots alternate ``... <= alpha_2 <= beta_2 <= alpha_1 <= beta_1``
 (alphas are roots of ``f``, betas of ``g``, listed in decreasing order
 with multiplicity).  The zero polynomial interlaces and is interlaced by
 every real-rooted polynomial, and nonzero constants interlace every
-polynomial of degree at most one.
+polynomial of degree at most one.  Every public function strips
+trailing zero coefficients first, so ``(1, 1, 0)`` is ``1 + x``.
 """
 
 from __future__ import annotations
@@ -124,11 +125,12 @@ def yun_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     multiplicities equals ``f`` up to a constant.  Constants decompose
     to an empty list.
     """
+    f = normalize(f)
     if not f:
         raise ValueError("cannot decompose the zero polynomial")
     if degree(f) == 0:
         return []
-    return list(_yun_cached(tuple(f)))
+    return list(_yun_cached(f))
 
 
 def _remainder_sequence(a: Poly, b: Poly) -> tuple[Poly, ...]:
@@ -149,7 +151,7 @@ def _remainder_sequence(a: Poly, b: Poly) -> tuple[Poly, ...]:
 @lru_cache(maxsize=8192)
 def sturm_chain(f: Poly) -> tuple[Poly, ...]:
     """Signed remainder chain of ``f``, content-stripped at each step."""
-    p0 = _int_primitive(f)
+    p0 = _int_primitive(normalize(f))
     return _remainder_sequence(p0, derivative(p0))
 
 
@@ -200,6 +202,7 @@ def _count_roots(chain, a, b, cache) -> int:
 
 def cauchy_bound(f: Poly) -> Fraction:
     """Strict bound: every root of ``f`` has absolute value below it."""
+    f = normalize(f)
     if degree(f) < 1:
         return Fraction(1)
     fr = _to_fractions(f)
@@ -346,6 +349,7 @@ def isolate_roots(f: Poly) -> RootIsolation:
     Raises ``ValueError`` for the zero polynomial and for polynomials
     with nonreal roots.
     """
+    f = normalize(f)
     if not f:
         raise ValueError("cannot isolate roots of the zero polynomial")
     if degree(f) == 0:

@@ -17,10 +17,10 @@ from .complexes import (
     Face,
     SchemaError,
     SimplicialComplex,
+    _from_sorted_facets,
     complex_from_json,
     complex_to_json,
     face,
-    from_facets,
     full_simplex,
 )
 
@@ -52,7 +52,7 @@ def carrier(T: Triangulation, G) -> Face:
 
 def trivial(vertices) -> Triangulation:
     """The simplex on ``vertices``, subdivided by doing nothing."""
-    simplex = full_simplex(face(vertices))
+    simplex = full_simplex(vertices)
     return Triangulation(simplex, simplex, {v: (v,) for v in simplex.vertices})
 
 
@@ -70,9 +70,9 @@ def restriction(T: Triangulation, F) -> Triangulation:
     keep = {v for v, c in T.vertex_carrier.items() if set(c) <= inside}
     facets = [tuple(v for v in h if v in keep) for h in T.total.facets]
     labels = {v: s for v, s in T.total.labels.items() if v in keep}
-    total = from_facets(facets, labels)
+    total = _from_sorted_facets(facets, labels)
     carriers = {v: T.vertex_carrier[v] for v in total.vertices}
-    return Triangulation(full_simplex(f), total, carriers)
+    return Triangulation(_from_sorted_facets([f], {}), total, carriers)
 
 
 def barycentric(T: Triangulation) -> Triangulation:
@@ -94,7 +94,7 @@ def barycentric(T: Triangulation) -> Triangulation:
     labels = {i: "barycenter of {%s}" % ",".join(map(str, g))
               for g, i in vertex_of.items()}
     carriers = {vertex_of[g]: carrier(T, g) for g in old_faces}
-    return Triangulation(T.base, from_facets(facets, labels), carriers)
+    return Triangulation(T.base, _from_sorted_facets(facets, labels), carriers)
 
 
 def _edgewise_chains(m: int, r: int):
@@ -163,10 +163,11 @@ def edgewise(T: Triangulation, r: int, order: Sequence[int] | None = None) -> Tr
     for i, p in enumerate(sorted(point_ids), start=1):
         point_ids[p] = i
 
-    facets = [tuple(point_ids[p] for p in f) for f in local_facets]
+    # A chain's points are distinct but not numbered in increasing order.
+    facets = [tuple(sorted(point_ids[p] for p in f)) for f in local_facets]
     labels = {i: " ".join(f"{v}^{c}" for v, c in p) for p, i in point_ids.items()}
     carriers = {point_ids[p]: carrier(T, [v for v, _ in p]) for p in point_ids}
-    return Triangulation(T.base, from_facets(facets, labels), carriers)
+    return Triangulation(T.base, _from_sorted_facets(facets, labels), carriers)
 
 
 class UnknownKindError(ValueError):
@@ -214,7 +215,7 @@ def stellar(T: Triangulation, G) -> Triangulation:
     labels[fresh] = "apex of {%s}" % ",".join(map(str, g))
     carriers = dict(T.vertex_carrier)
     carriers[fresh] = carrier(T, g)
-    return Triangulation(T.base, from_facets(facets, labels), carriers)
+    return Triangulation(T.base, _from_sorted_facets(facets, labels), carriers)
 
 
 def compose(outer: Triangulation, inner: Triangulation) -> Triangulation:
@@ -361,8 +362,14 @@ def f_triangle(kind: str, n: int) -> FTriangle:
     return f_triangle_of(base if kind == "trivial" else refine(base, kind))
 
 
-def validate_triangulation(T: Triangulation) -> None:
-    """Check the structural rules; raises ValueError on the first hit."""
+def validate_triangulation(T: Triangulation) -> dict[Face, Triangulation]:
+    """Check the structural rules; raises ValueError on the first hit.
+
+    The last rule builds the restriction to every base face and checks
+    that it is a pure triangulation of that face's dimension.  Those
+    restrictions are returned, keyed by base face in canonical order,
+    so a caller that needs them does not build them again.
+    """
     if set(T.vertex_carrier) != set(T.total.vertices):
         raise ValueError("vertex_carrier keys must be exactly the total's vertices")
     for v, c in T.vertex_carrier.items():
@@ -377,10 +384,14 @@ def validate_triangulation(T: Triangulation) -> None:
             spanned.update(T.vertex_carrier[v])
         if tuple(sorted(spanned)) not in T.base:
             raise ValueError(f"face {g} is not carried by any base face")
+    restrictions = {}
     for f in T.base.faces():
-        sub = restriction(T, f).total
+        R = restriction(T, f)
+        sub = R.total
         if sub.is_void or not sub.is_pure() or sub.dimension() != len(f) - 1:
             raise ValueError(f"restriction to {f} is not a triangulation of it")
+        restrictions[f] = R
+    return restrictions
 
 
 def triangulation_to_json(T: Triangulation) -> dict:

@@ -21,7 +21,6 @@ from .localh import (
     c_coefficients,
     ell_mk,
     ell_mkj,
-    h_from_local,
     local_h,
     local_h_via_uniform,
     p_poly,
@@ -124,9 +123,14 @@ def _structural(T: Triangulation, n: int, problems: list[str]) -> Poly:
 
     A triangulation that fails validation is reported and not computed
     with further; the remaining checks assume a sound carrier map.
+    Validation returns the restriction to every base face, and the
+    round trip sums their local h-polynomials (what ``h_from_local``
+    computes) against h of the whole: the restrictions are built
+    complexes, not rows of ``T``'s face table, so the two sides are
+    independent computations.
     """
     try:
-        validate_triangulation(T)
+        restrictions = validate_triangulation(T)
     except ValueError as err:
         problems.append(f"structure: {err}")
         return ()
@@ -135,7 +139,10 @@ def _structural(T: Triangulation, n: int, problems: list[str]) -> Poly:
         problems.append(f"local h not symmetric: {format_poly(ell)}")
     if any(c < 0 for c in ell):
         problems.append(f"local h has a negative coefficient: {format_poly(ell)}")
-    if h_from_local(T) != h_polynomial(T.total, n):
+    h = ()
+    for R in restrictions.values():
+        h = add(h, local_h(R))
+    if h != h_polynomial(T.total, n):
         problems.append("restriction sum does not give back the h-polynomial")
     return ell
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 from subdiv.complexes import (
     SchemaError,
     SimplicialComplex,
+    _from_sorted_facets,
     complex_from_json,
     complex_to_json,
     f_vector_from_h,
@@ -80,6 +81,48 @@ class TestConstruction:
         b = from_facets([(2, 3), (1, 2), (2,)])
         assert a == b
         assert hash(a) == hash(b)
+
+
+@st.composite
+def sorted_facets_with_labels(draw):
+    """Sorted int facets, with repeats and dominated facets mixed in,
+    and labels on some of their vertices."""
+    facets = draw(st.lists(
+        st.frozensets(st.integers(-3, 8), max_size=4).map(lambda s: tuple(sorted(s))),
+        max_size=8))
+    if facets and draw(st.booleans()):
+        # repeat a facet, and add a face of one
+        big = draw(st.sampled_from(facets))
+        facets += [big, big[: draw(st.integers(0, len(big)))]]
+    facets = draw(st.permutations(facets))
+    verts = sorted({v for f in facets for v in f})
+    named = draw(st.lists(st.sampled_from(verts), unique=True)) if verts else []
+    return facets, {v: f"v{v}" for v in named}
+
+
+class TestTrustedConstructor:
+    @given(sorted_facets_with_labels())
+    @example(([], {}))  # the void complex
+    @example(([()], {}))  # the empty complex
+    @example(([(), (), (1,), (1, 2), (1,), (2,)], {2: "b"}))
+    def test_matches_from_facets(self, drawn):
+        facets, labels = drawn
+        fast = _from_sorted_facets(list(facets), dict(labels))
+        slow = from_facets(facets, labels)
+        assert fast.facets == slow.facets
+        assert fast.labels == slow.labels
+        assert list(fast.faces()) == list(slow.faces())
+        assert fast.vertices == slow.vertices
+
+    def test_from_facets_still_checks(self):
+        with pytest.raises(TypeError, match="vertex ids must be integers"):
+            from_facets([(1, "a")])
+        with pytest.raises(ValueError, match="labels reference vertices outside"):
+            from_facets([(1, 2)], labels={3: "c"})
+        labels = {1: "a"}
+        K = from_facets([(1, 2)], labels)
+        labels[2] = "b"
+        assert K.labels == {1: "a"}
 
 
 class TestFaces:
@@ -237,3 +280,55 @@ class TestJson:
         with pytest.raises(SchemaError) as err:
             complex_from_json({"vertices": [1], "facets": [[1, 9]]})
         assert err.value.path == "/facets/0"
+
+
+class TestJsonRejections:
+    """Every ``complex_from_json`` rejection, with its path and message."""
+
+    @pytest.mark.parametrize("obj, path, message", [
+        ([1, 2], "", "expected an object"),
+        ({"vertices": [1]}, "/facets", "missing required key"),
+        ({"facets": [[1]]}, "/vertices", "missing required key"),
+        ({"vertices": 1, "facets": [[1]]}, "/vertices", "expected a list"),
+        ({"vertices": [1, "a"], "facets": [[1]]},
+         "/vertices/1", "expected an integer, got 'a'"),
+        ({"vertices": [True], "facets": [[1]]},
+         "/vertices/0", "expected an integer, got True"),
+        ({"vertices": [1], "facets": {"0": [1]}}, "/facets", "expected a list"),
+        ({"vertices": [1], "facets": [[1], "x"]},
+         "/facets/1", "expected a list of vertex ids"),
+        ({"vertices": [1, 2], "facets": [[1, 2.5]]},
+         "/facets/0/1", "expected an integer, got 2.5"),
+        ({"vertices": [1, 2], "facets": [[1, False, "a"]]},
+         "/facets/0/1", "expected an integer, got False"),
+        ({"vertices": [1], "facets": [[1, 9]]},
+         "/facets/0", "facet uses undeclared vertices"),
+        ({"vertices": [1, 9], "facets": [[1], [9, 9, "a"]]},
+         "/facets/1/2", "expected an integer, got 'a'"),
+        ({"vertices": [1, 2, 3], "facets": [[1, 2]]},
+         "/vertices", "vertices [3] appear in no facet"),
+        ({"vertices": [1, 2], "facets": [[2, 1]], "labels": []},
+         "/labels", "expected an object"),
+        ({"vertices": [1, 2], "facets": [[2, 1]], "labels": {"x": "a"}},
+         "/labels/x", "key is not a vertex id"),
+        ({"vertices": [1, 2], "facets": [[2, 1]], "labels": {"9": "a"}},
+         "/labels/9", "label for unknown vertex"),
+        ({"vertices": [1, 2], "facets": [[2, 1]], "labels": {"1": 5}},
+         "/labels/1", "label must be a string"),
+    ], ids=["not-object", "no-facets", "no-vertices", "vertices-not-list",
+            "vertex-not-int", "vertex-bool", "facets-not-list",
+            "facet-not-list", "entry-float", "first-bad-entry",
+            "undeclared", "type-before-membership", "unused-vertex",
+            "labels-not-object", "label-key", "label-unknown", "label-value"])
+    def test_schema_errors(self, obj, path, message):
+        with pytest.raises(SchemaError) as err:
+            complex_from_json(obj)
+        assert (err.value.path, err.value.message) == (path, message)
+
+    def test_unsorted_and_repeated_entries(self):
+        K = complex_from_json({"vertices": [40, 1, 9, 9],
+                               "facets": [[40, 9, 9], [9, 1], [1], [9, 40]],
+                               "labels": {"40": "c"}})
+        assert K == from_facets([(9, 40), (1, 9)])
+        assert K.facets == ((1, 9), (9, 40))
+        assert K.labels == {40: "c"}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import outcome, perturbed, refined_stellar
-from subdiv import localh, verify
+from subdiv import localh, triangulate, verify
 from subdiv.complexes import from_facets, full_simplex, h_polynomial
 from subdiv.localh import (
     CoefficientMatrix,
@@ -459,9 +459,12 @@ class TestRoundTripStaysIndependent:
         h_from_local(random_triangulation(tuple(range(1, n + 1)), 3, seed=7))
         assert len(built) == 2 ** n
 
+    # _structural's round trip sums local h over the restrictions that
+    # validate_triangulation built, so a fault is planted there.
     def test_structural_sees_a_dropped_face(self, monkeypatch):
         # The restriction to the whole triangle loses the barycenter (and
         # with it every face through it); no other restriction changes.
+        # What is left is the boundary cycle, which validation rejects.
         T = barycentric(trivial((1, 2, 3)))
         center = max(T.total.vertices)
 
@@ -475,6 +478,26 @@ class TestRoundTripStaysIndependent:
         problems = []
         assert verify._structural(T, 3, problems) == P("x+x^2")
         assert problems == []
-        monkeypatch.setattr(localh, "restriction", dropping)
+        monkeypatch.setattr(triangulate, "restriction", dropping)
         verify._structural(T, 3, problems)
+        assert problems == [
+            "structure: restriction to (1, 2, 3) is not a triangulation of it"]
+
+    def test_structural_sees_a_wrong_restriction(self, monkeypatch):
+        # Starring an interior edge of the top restriction keeps it a pure
+        # triangulation of the triangle, so it passes validation, but its
+        # local h is no longer T's; only the round trip can notice.
+        T = barycentric(trivial((1, 2, 3)))
+        center = max(T.total.vertices)
+
+        def starring(T, F):
+            R = restriction(T, F)
+            if center not in R.total.vertices:
+                return R
+            return stellar(R, (1, center))
+
+        monkeypatch.setattr(triangulate, "restriction", starring)
+        assert local_h(starring(T, (1, 2, 3))) != local_h(T)
+        problems = []
+        assert verify._structural(T, 3, problems) == P("x+x^2")
         assert problems == ["restriction sum does not give back the h-polynomial"]

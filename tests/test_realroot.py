@@ -461,6 +461,36 @@ def _poly_pairs(draw):
     return f, g
 
 
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+class TestTrailingZeros:
+    """A coefficient tuple padded with zeros is the same polynomial."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_poly_pairs(), st.integers(1, 3))
+    def test_padding_changes_nothing(self, pair, zeros):
+        f, g = pair
+        pad = (0,) * zeros
+        for p in (f, g, mul(f, g)):
+            for fn in (isolate_roots, sturm_chain, yun_decomposition,
+                       cauchy_bound, is_real_rooted):
+                assert _outcome(fn, p + pad) == _outcome(fn, p), (fn.__name__, p)
+        assert interlace_report(f + pad, g + pad) == interlace_report(f, g)
+
+    def test_reported_cases(self):
+        assert isolate_roots((1, 1, 0)) == isolate_roots((1, 1))
+        assert sturm_chain((0,)) == sturm_chain(()) == ((),)
+        assert yun_decomposition((1, 1, 0)) == [((1, 1), 1)]
+        assert yun_decomposition((3, 0)) == yun_decomposition((3,)) == []
+        with pytest.raises(ValueError, match="zero polynomial"):
+            isolate_roots((0, 0))
+
+
 class TestAgainstSlotOracle:
     @settings(max_examples=400, deadline=None)
     @given(_poly_pairs())

@@ -455,6 +455,122 @@ class TestJsonRejections:
         assert (err.value.path, err.value.message) == (path, message)
 
 
+def _with_carriers(T: Triangulation, carriers) -> Triangulation:
+    return Triangulation(T.base, T.total, carriers)
+
+
+def _sd_edge_carriers(**edits) -> Triangulation:
+    """sd of the edge {1,2} (midpoint 3) with carriers edited by
+    ``v3=...``, ``v1=...`` keyword arguments."""
+    T = barycentric(trivial((1, 2)))
+    carriers = dict(T.vertex_carrier)
+    for key, value in edits.items():
+        carriers[int(key[1:])] = value
+    return _with_carriers(T, carriers)
+
+
+class TestValidateRejections:
+    """Every ``validate_triangulation`` rejection, and which comes first."""
+
+    @pytest.mark.parametrize("T, message", [
+        (_with_carriers(trivial((1, 2)), {1: (1,)}),
+         "vertex_carrier keys must be exactly the total's vertices"),
+        (_with_carriers(trivial((1, 2)), {1: (1,), 2: (2,), 3: (1,)}),
+         "vertex_carrier keys must be exactly the total's vertices"),
+        (_sd_edge_carriers(v3=(1, 9)),
+         "carrier of 3 is not a nonempty base face: (1, 9)"),
+        (_sd_edge_carriers(v3=(2, 1)),
+         "carrier of 3 is not a nonempty base face: (2, 1)"),
+        (_sd_edge_carriers(v3=()),
+         "carrier of 3 is not a nonempty base face: ()"),
+        (_sd_edge_carriers(v3=(1,)),
+         "base vertices and singleton carriers do not match up"),
+        (_with_carriers(trivial((1, 2)), {1: (1,), 2: (1,)}),
+         "base vertices and singleton carriers do not match up"),
+        (Triangulation(from_facets([(1, 2), (2, 3)]), from_facets([(1, 3), (2,)]),
+                       {1: (1,), 2: (2,), 3: (3,)}),
+         "face (1, 3) is not carried by any base face"),
+        (Triangulation(full_simplex(()), from_facets([]), {}),
+         "restriction to () is not a triangulation of it"),
+        (Triangulation(full_simplex((1, 2, 3)), from_facets([(1, 2, 3), (3, 4)]),
+                       {1: (1,), 2: (2,), 3: (3,), 4: (2, 3)}),
+         "restriction to (1, 2, 3) is not a triangulation of it"),
+        (Triangulation(full_simplex((1, 2, 3)),
+                       from_facets([(1, 2), (1, 3), (2, 3)]),
+                       {1: (1,), 2: (2,), 3: (3,)}),
+         "restriction to (1, 2, 3) is not a triangulation of it"),
+        (Triangulation(full_simplex((1, 2)), from_facets([(1,), (2,)]),
+                       {1: (1,), 2: (2,)}),
+         "restriction to (1, 2) is not a triangulation of it"),
+        # the first offender is reported
+        (_with_carriers(trivial((1, 2)), {1: (9,)}),
+         "vertex_carrier keys must be exactly the total's vertices"),
+        (_with_carriers(trivial((1, 2)), {1: (8,), 2: (9,)}),
+         "carrier of 1 is not a nonempty base face: (8,)"),
+        (_with_carriers(trivial((1, 2)), {2: (9,), 1: (8,)}),
+         "carrier of 2 is not a nonempty base face: (9,)"),
+        (_with_carriers(trivial((1, 2)), {1: (1,), 2: (9,)}),
+         "carrier of 2 is not a nonempty base face: (9,)"),
+        (Triangulation(from_facets([(1, 2), (2, 3)]), from_facets([(1, 3), (2,)]),
+                       {1: (1,), 2: (1,), 3: (3,)}),
+         "base vertices and singleton carriers do not match up"),
+        (Triangulation(from_facets([(1, 2), (2, 3), (4,)]),
+                       from_facets([(1, 3), (2, 4), (4,)]),
+                       {1: (1,), 2: (2,), 3: (3,), 4: (4,)}),
+         "face (1, 3) is not carried by any base face"),
+        (Triangulation(full_simplex((1, 2, 3)), from_facets([(1, 2), (1, 3)]),
+                       {1: (1,), 2: (2,), 3: (3,)}),
+         "restriction to (2, 3) is not a triangulation of it"),
+    ], ids=["key-missing", "key-extra", "not-base-face", "unsorted", "empty",
+            "singleton-extra", "singleton-missing", "uncarried-face", "void",
+            "non-pure", "wrong-dimension", "too-thin-edge",
+            "keys-before-carriers", "first-bad-carrier", "first-in-dict-order",
+            "carrier-before-singletons", "singletons-before-faces",
+            "first-uncarried-face", "first-bad-restriction"])
+    def test_message(self, T, message):
+        with pytest.raises(ValueError) as err:
+            validate_triangulation(T)
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
+
+
+class TestTrustedBuilders:
+    """Builders skip from_facets' checks; their output must pass them."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(refined_stellar(), st.data())
+    def test_canonical_and_labelled_inside(self, T, data):
+        F = data.draw(st.sampled_from(list(T.base.faces())))
+        for K in (T.total, restriction(T, F).total, restriction(T, F).base):
+            again = from_facets(K.facets, K.labels)
+            assert K.facets == again.facets
+            assert K.labels == again.labels
+            assert all(list(f) == sorted(set(f)) for f in K.facets)
+
+    @pytest.mark.parametrize("T", [
+        edgewise(trivial((1, 2, 3)), 2),
+        edgewise(stellar(trivial((1, 2, 3)), (1, 2)), 3, order=(4, 3, 1, 2)),
+    ], ids=["default-order", "reordered"])
+    def test_edgewise(self, T):
+        again = from_facets(T.total.facets, T.total.labels)
+        assert (T.total.facets, T.total.labels) == (again.facets, again.labels)
+
+
+class TestValidateReturnsRestrictions:
+    @settings(max_examples=40, deadline=None)
+    @given(perturbed(refined_stellar()))
+    def test_matches_restriction(self, T):
+        try:
+            restrictions = validate_triangulation(T)
+        except ValueError:
+            return
+        assert list(restrictions) == list(T.base.faces())
+        for f, R in restrictions.items():
+            expected = restriction(T, f)
+            assert R == expected
+            assert R.total.labels == expected.total.labels
+
+
 class TestLinearLoad:
     """Loading scans the total's facets a fixed number of times."""
 
