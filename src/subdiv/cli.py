@@ -43,6 +43,8 @@ FORMATS = ("text", "json", "csv")
 TABLES_N_CAP = 8
 # Facets of sd at the n cap; esd:R builds R^(n-1) of them.
 FACETS_CAP = factorial(TABLES_N_CAP)
+# Values one integer spec such as --seeds 1..20 may list.
+INT_SPEC_CAP = 10_000
 
 _CONFIG_KEYS = ("prng", "max_enum_n", "format", "seed", "jobs")
 
@@ -104,11 +106,13 @@ def _parse_int_spec(text: str, what: str) -> tuple[int, ...]:
                 a, b = int(lo), int(hi)
                 if b < a:
                     raise ValueError
-                out.extend(range(a, b + 1))
             else:
-                out.append(int(piece))
+                a = b = int(piece)
         except ValueError:
             raise CliError(f"cannot parse {what} {text!r}") from None
+        if len(out) + b - a + 1 > INT_SPEC_CAP:
+            raise CliError(f"{what} {text!r} lists more than {INT_SPEC_CAP} values")
+        out.extend(range(a, b + 1))
     if not out:
         raise CliError(f"empty {what}")
     return tuple(out)
@@ -248,6 +252,8 @@ def cmd_subdivide(args, config: dict) -> int:
     elif kind.startswith("random:"):
         try:
             steps = int(kind.split(":", 1)[1])
+            if steps < 0:
+                raise ValueError
         except ValueError:
             raise CliError(f"bad step count in {kind!r}") from None
         if len(T.total.facets) != 1:

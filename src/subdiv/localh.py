@@ -22,7 +22,7 @@ from itertools import combinations
 
 from .complexes import h_from_f_vector
 from .perm import d_nkj, derangement_counts
-from .poly import Poly, add, binom, mul, normalize, power, scale
+from .poly import Poly, add, binom, mul, power, scale, shift
 from .triangulate import FTriangle, Triangulation, face_table, restriction
 
 
@@ -33,8 +33,9 @@ def _require_simplex_base(T: Triangulation) -> tuple[int, ...]:
     return verts
 
 
-def _graded_faces(T: Triangulation) -> tuple[int, dict[tuple[int, int], int]]:
-    """Base size n and face counts by (carrier size, face size).
+def _graded_faces(T: Triangulation) -> tuple[int, list[list[int]]]:
+    """Base size n and, for each carrier size c, the face counts by size
+    of the faces whose carrier has c vertices.
 
     A face with more vertices than its carrier makes some restriction
     too big for its base face; that raises the error ``h_polynomial``
@@ -44,10 +45,9 @@ def _graded_faces(T: Triangulation) -> tuple[int, dict[tuple[int, int], int]]:
     table = face_table(T)
     if any(size > mask.bit_count() for mask, size in table):
         _raise_oversized(verts, table)
-    graded: dict[tuple[int, int], int] = {}
+    graded = [[0] * (c + 1) for c in range(len(verts) + 1)]
     for (mask, size), count in table.items():
-        key = (mask.bit_count(), size)
-        graded[key] = graded.get(key, 0) + count
+        graded[mask.bit_count()][size] += count
     return len(verts), graded
 
 
@@ -66,16 +66,12 @@ def _local_h_sum(graded, n: int, m: int) -> Poly:
     """Sum of the local h-polynomials of the restrictions to all m-subsets.
 
     A face with carrier size c <= m lies in C(n-c, m-c) of them and
-    contributes x^i (-x)^(m-c) (1-x)^(c-i) to each, i its size.
+    contributes x^i (-x)^(m-c) (1-x)^(c-i) to each, i its size; summed
+    over carrier size c, that is (-x)^(m-c) times an h-polynomial.
     """
-    coeffs = [0] * (m + 1)
-    for (c, i), count in graded.items():
-        if c > m:
-            continue
-        weight = (-1) ** (m - c) * binom(n - c, m - c) * count
-        for s in range(c - i + 1):
-            coeffs[m - c + i + s] += (-1) ** s * binom(c - i, s) * weight
-    return normalize(coeffs)
+    return add(*(scale(shift(h_from_f_vector(graded[c], c), m - c),
+                       (-1) ** (m - c) * binom(n - c, m - c))
+                 for c in range(m + 1)))
 
 
 def local_h(T: Triangulation) -> Poly:
@@ -98,11 +94,9 @@ def h_from_local(T: Triangulation) -> Poly:
     nothing.
     """
     verts = _require_simplex_base(T)
-    acc: Poly = ()
-    for size in range(len(verts) + 1):
-        for f in combinations(verts, size):
-            acc = add(acc, local_h(restriction(T, f)))
-    return acc
+    return add(*(local_h(restriction(T, f))
+                 for size in range(len(verts) + 1)
+                 for f in combinations(verts, size)))
 
 
 @dataclass(frozen=True)
@@ -151,11 +145,9 @@ def p_poly(F: FTriangle, m: int, k: int) -> Poly:
     """Binomial transform of the h-polynomials of sizes m-k..m."""
     if not (0 <= k <= m <= F.n):
         raise ValueError(f"need 0 <= k <= m <= {F.n}, got k={k}, m={m}")
-    acc: Poly = ()
-    for i in range(k + 1):
-        h = h_from_f_vector(F.rows[m - i], m - i)
-        acc = add(acc, scale(mul(power((-1, 1), i), h), binom(k, i)))
-    return acc
+    return add(*(scale(mul(power((-1, 1), i), h_from_f_vector(F.rows[m - i], m - i)),
+                       binom(k, i))
+                 for i in range(k + 1)))
 
 
 def ell_mk(F: FTriangle, m: int, k: int) -> Poly:
@@ -164,11 +156,8 @@ def ell_mk(F: FTriangle, m: int, k: int) -> Poly:
     at k = 0 down to the local h-polynomial at k = m."""
     if not (0 <= k <= m <= F.n):
         raise ValueError(f"need 0 <= k <= m <= {F.n}, got k={k}, m={m}")
-    acc: Poly = ()
-    for i in range(k + 1):
-        acc = add(acc, scale(h_from_f_vector(F.rows[m - i], m - i),
-                             (-1) ** i * binom(k, i)))
-    return acc
+    return add(*(scale(h_from_f_vector(F.rows[m - i], m - i), (-1) ** i * binom(k, i))
+                 for i in range(k + 1)))
 
 
 def ell_mkj(F: FTriangle, m: int, k: int, j: int) -> Poly:
@@ -181,10 +170,8 @@ def ell_mkj(F: FTriangle, m: int, k: int, j: int) -> Poly:
         raise ValueError(f"need 0 <= m <= {F.n}, got m={m}")
     if k < 0 or j < 0 or k + j > m:
         raise ValueError(f"need k, j >= 0 with k + j <= m, got k={k}, j={j}, m={m}")
-    acc: Poly = ()
-    for i in range(k + 1):
-        acc = add(acc, scale(p_poly(F, m - i, j), (-1) ** i * binom(k, i)))
-    return acc
+    return add(*(scale(p_poly(F, m - i, j), (-1) ** i * binom(k, i))
+                 for i in range(k + 1)))
 
 
 def local_h_via_uniform(F: FTriangle, c: CoefficientMatrix) -> Poly:
@@ -195,10 +182,7 @@ def local_h_via_uniform(F: FTriangle, c: CoefficientMatrix) -> Poly:
     """
     if c.n > F.n:
         raise ValueError(f"matrix size {c.n} exceeds triangle size {F.n}")
-    acc: Poly = ()
-    for k, j, value in c.entries():
-        acc = add(acc, scale(ell_mkj(F, c.n, k, j), value))
-    return acc
+    return add(*(scale(ell_mkj(F, c.n, k, j), value) for k, j, value in c.entries()))
 
 
 def second_sd_local_h(n: int) -> Poly:
@@ -211,11 +195,7 @@ def second_sd_local_h(n: int) -> Poly:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    acc: Poly = ()
-    for k in range(n + 1):
-        counts = derangement_counts(n - k)
-        for j in range(n - k + 1):
-            mult = binom(n, k) * (counts[j] if j < len(counts) else 0)
-            if mult:
-                acc = add(acc, scale(d_nkj(n, k, j), mult))
-    return acc
+    return add(*(scale(d_nkj(n, k, j), binom(n, k) * count)
+                 for k in range(n + 1)
+                 for j, count in enumerate(derangement_counts(n - k))
+                 if count))

@@ -43,11 +43,13 @@ def degree(f: Sequence[Coeff]) -> int:
     return len(f) - 1
 
 
-def add(f: Sequence[Coeff], g: Sequence[Coeff]) -> Poly:
-    n = max(len(f), len(g))
-    return normalize(
-        (f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)
-    )
+def add(*fs: Sequence[Coeff]) -> Poly:
+    """Sum of any number of polynomials; ``add()`` is zero."""
+    out: list[Coeff] = [0] * max(map(len, fs), default=0)
+    for f in fs:
+        for i, c in enumerate(f):
+            out[i] += c
+    return normalize(out)
 
 
 def neg(f: Sequence[Coeff]) -> Poly:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .poly import Poly, degree, derivative, eval_at, normalize
+from .poly import Poly, degree, derivative, eval_at, normalize, sub
 
 _SCAN_LIMIT = 64  # integer root candidates probed before bisection
 
@@ -95,26 +95,17 @@ def _yun_cached(f: Poly) -> tuple[tuple[Poly, int], ...]:
     if degree(g) == 0:
         return ((_pos_primitive(fr), 1),)
     b = _div_exact(fr, g)
-    d = tuple(x - y for x, y in _pad(_div_exact(derivative(fr), g), derivative(b)))
+    d = sub(_div_exact(derivative(fr), g), derivative(b))
     out: list[tuple[Poly, int]] = []
     i = 1
     while degree(b) > 0:
-        a = _remainder_sequence(b, normalize(d))[-1]
+        a = _remainder_sequence(b, d)[-1]
         if degree(a) > 0:
             out.append((_pos_primitive(a), i))
-        b2 = _div_exact(b, a)
-        c = _div_exact(normalize(d), a)
-        b = b2
-        d = tuple(x - y for x, y in _pad(c, derivative(b)))
+        b, c = _div_exact(b, a), _div_exact(d, a)
+        d = sub(c, derivative(b))
         i += 1
     return tuple(out)
-
-
-def _pad(f: Poly, g: Poly):
-    n = max(len(f), len(g))
-    fz = tuple(f) + (0,) * (n - len(f))
-    gz = tuple(g) + (0,) * (n - len(g))
-    return zip(fz, gz)
 
 
 def yun_decomposition(f: Poly) -> list[tuple[Poly, int]]:

@@ -28,6 +28,7 @@ from .localh import (
 )
 from .perm import (
     E_nr,
+    _check_enum,
     ascents,
     bad_points,
     d_nk,
@@ -139,10 +140,7 @@ def _structural(T: Triangulation, n: int, problems: list[str]) -> Poly:
         problems.append(f"local h not symmetric: {format_poly(ell)}")
     if any(c < 0 for c in ell):
         problems.append(f"local h has a negative coefficient: {format_poly(ell)}")
-    h = ()
-    for R in restrictions.values():
-        h = add(h, local_h(R))
-    if h != h_polynomial(T.total, n):
+    if add(*map(local_h, restrictions.values())) != h_polynomial(T.total, n):
         problems.append("restriction sum does not give back the h-polynomial")
     return ell
 
@@ -265,12 +263,18 @@ def _case_prop_lnkj(params: dict) -> CaseResult:
 
 def _refined_bad_point_counts(n: int) -> dict[tuple[int, int, int], int]:
     """Ascent counts of S_{n+1} bucketed by (max bad point, last value)."""
+    _check_enum(n + 1)
     counts: dict[tuple[int, int, int], int] = {}
     for w in permutations(range(1, n + 2)):
         bad = bad_points(w)
         key = (max(bad) if bad else 0, w[-1], ascents(w))
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def _split_sum(rows: list[Poly], j: int) -> Poly:
+    """x * (rows[0] + ... + rows[j-1]) + rows[j] + ... + rows[-1]."""
+    return add(shift(add(*rows[:j]), 1), *rows[j:])
 
 
 def _case_prop_dnkj(params: dict) -> CaseResult:
@@ -295,16 +299,12 @@ def _case_prop_dnkj(params: dict) -> CaseResult:
                 for (top, last, asc), cnt in buckets.items():
                     if top <= n + 1 - k and last == j + 1:
                         coeffs[asc] = coeffs.get(asc, 0) + cnt
-                want: Poly = ()
-                for asc, cnt in coeffs.items():
-                    want = add(want, scale(shift((1,), asc), cnt))
+                want = add(*(scale(shift((1,), asc), cnt) for asc, cnt in coeffs.items()))
                 if d_nkj(n, k, j) != want:
                     problems.append(f"(k,j)=({k},{j}): bad-point route differs")
     elif part == "d" and n >= 1:
         for k in range(n):
-            total: Poly = ()
-            for j in range(n):
-                total = add(total, d_nkj(n - 1, k, j))
+            total = add(*(d_nkj(n - 1, k, j) for j in range(n)))
             if not d_nkj(n, k, 0) == d_nk(n, k) == total:
                 problems.append(f"k={k}: column sum identity fails")
     elif part == "e" and n >= 1:
@@ -320,14 +320,9 @@ def _case_prop_dnkj(params: dict) -> CaseResult:
                     problems.append(f"(k,j)=({k},{j}): case recurrence fails")
     elif part == "f":
         for k in range(1, n + 1):
+            rows = [d_nkj(n - 1, k - 1, i) for i in range(n)]
             for j in range(n - k + 1, n + 1):
-                low: Poly = ()
-                high: Poly = ()
-                for i in range(j):
-                    low = add(low, d_nkj(n - 1, k - 1, i))
-                for i in range(j, n):
-                    high = add(high, d_nkj(n - 1, k - 1, i))
-                if d_nkj(n, k, j) != add(shift(low, 1), high):
+                if d_nkj(n, k, j) != _split_sum(rows, j):
                     problems.append(f"(k,j)=({k},{j}): split sum fails")
     elif part == "g":
         for k in range(1, n + 1):
@@ -343,36 +338,17 @@ def _case_prop_dnkj_rec(params: dict) -> CaseResult:
         for k in range(n):
             rows = [d_nkj(n - 1, k, i) for i in range(n)]
             for j in range(n + 1):
-                high: Poly = ()
-                for i in range(j, n):
-                    high = add(high, rows[i])
-                if j <= n - k:
-                    low: Poly = ()
-                    for i in range(j):
-                        low = add(low, rows[i])
-                    want = add(shift(low, 1), high)
-                else:
-                    mid = rows[j - 1]
-                    low = ()
-                    for i in range(j - 1):
-                        low = add(low, rows[i])
-                    want = add(add(shift(low, 1), add(mid, shift(mid, 1))), high)
+                want = _split_sum(rows, j)
+                if j > n - k:
+                    want = add(want, rows[j - 1])
                 if d_nkj(n, k, j) != want:
                     problems.append(f"(k,j)=({k},{j}): recurrence fails")
     elif part == "b":
         rows = [d_nkj(n - 1, n - 1, i) for i in range(n)]
-        first: Poly = ()
-        for i in range(1, n):
-            first = add(first, rows[i])
-        if d_nkj(n, n, 0) != first:
+        if d_nkj(n, n, 0) != add(*rows[1:]):
             problems.append("j=0 row fails")
         for j in range(1, n + 1):
-            low = high = ()
-            for i in range(j):
-                low = add(low, rows[i])
-            for i in range(j, n):
-                high = add(high, rows[i])
-            if d_nkj(n, n, j) != add(shift(low, 1), high):
+            if d_nkj(n, n, j) != _split_sum(rows, j):
                 problems.append(f"j={j}: row fails")
     return _result(params, problems[:4], "all indices pass")
 
@@ -410,6 +386,7 @@ def _case_esd_counterexample(params: dict) -> CaseResult:
 
 def _case_foata(params: dict) -> CaseResult:
     n = params["n"]
+    _check_enum(n)
     problems: list[str] = []
     checked = 0
     for w in permutations(range(1, n + 1)):

@@ -5,6 +5,7 @@ per criterion; a failing criterion shows up as the corresponding failed
 test.  Stated runtime caps are asserted, not aspirational.
 """
 
+import hashlib
 import json
 import os
 import pathlib
@@ -32,6 +33,25 @@ from subdiv.verify import run_suite
 pytestmark = pytest.mark.acceptance
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# sha256 of each gate report's ``label\tok\tdetail`` lines, so that every
+# case's verdict and detail stay byte-identical, not only the pass count.
+REPORT_DIGESTS = {
+    "thm-uniform": "1b45e8c6ef9471206639ab385ae35be8f52f41ff59ac293f75967f02b2f5a5a8",
+    "thm-sd": "84a85a9ba3e7082946df968b7239197771fd16e4781566bcf2c9b2aed9b36070",
+    "thm-esd": "52d771977b077a601ba0b5ba4dec81a739ae4e73b43a102d9c08c20a7ad7499f",
+    "esd-counterexample": "3f9fa5cc71e900219e739ce93da16885459e68e7200627bdeb5cc241e14558bd",
+    "prop-dnkj": "2f5e39b78f2dfd2653f033e28d5d37738645df89313d66e2ee394dddbb47a691",
+    "prop-dnkj-rec": "051cf3d2408e5ae56cdede29a83d9ed6d8766aee19626bd987887dac75906d91",
+    "thm-dnkj": "e14d3c3fba19053816ed5ebdd325217239cd4f1c19d12a6f647e1cefa5199936",
+    "prop-esdr": "98c63dcd95a602bbc907e8ddb95491f3436a3cc32bd8cb955901e4d67495f061",
+    "foata": "7e3c9a2afc69255cf811dcea0b26f17c07f6f6ac6730bbcc599d50c2c49aede3",
+}
+
+
+def assert_digest(report) -> None:
+    text = "".join(f"{c.label}\t{c.ok}\t{c.detail}\n" for c in report.cases)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[report.suite]
 
 
 def announce(num: int, seconds: float, what: str) -> None:
@@ -71,6 +91,7 @@ def test_criterion_03_uniform_expansion_identity(capsys):
     report = run_suite("thm-uniform")
     assert report.ok, [f.label for f in report.failures]
     assert report.cases_run == 180
+    assert_digest(report)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     with capsys.disabled():
@@ -84,6 +105,7 @@ def test_criterion_04_barycentric_interlacing(capsys):
     report = run_suite("thm-sd")
     assert report.ok, [f.label for f in report.failures]
     assert report.cases_run == 60
+    assert_digest(report)
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         announce(4, elapsed,
@@ -96,8 +118,10 @@ def test_criterion_05_edgewise_interlacing_with_boundary(capsys):
     report = run_suite("thm-esd")
     assert report.ok, [f.label for f in report.failures]
     assert report.cases_run == 180
+    assert_digest(report)
     boundary = run_suite("esd-counterexample")
     assert boundary.ok
+    assert_digest(boundary)
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         announce(5, elapsed,
@@ -130,6 +154,8 @@ def test_criterion_07_d_polynomial_identities(capsys):
     rows = run_suite("prop-dnkj-rec", n_max=7)
     assert refined.ok, [f.label for f in refined.failures]
     assert rows.ok, [f.label for f in rows.failures]
+    assert_digest(refined)
+    assert_digest(rows)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     with capsys.disabled():
@@ -142,6 +168,7 @@ def test_criterion_08_interlacing_sequences(capsys):
     start = time.perf_counter()
     report = run_suite("thm-dnkj", n_max=6)
     assert report.ok, [f.label for f in report.failures]
+    assert_digest(report)
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         announce(8, elapsed,
@@ -153,6 +180,7 @@ def test_criterion_09_dilation_formulas(capsys):
     start = time.perf_counter()
     report = run_suite("prop-esdr", n_max=5, r_max=6)
     assert report.ok, [f.label for f in report.failures]
+    assert_digest(report)
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         announce(9, elapsed,
@@ -164,6 +192,7 @@ def test_criterion_10_cycle_transform(capsys):
     start = time.perf_counter()
     report = run_suite("foata", n_max=8)
     assert report.ok, [f.label for f in report.failures]
+    assert_digest(report)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     with capsys.disabled():

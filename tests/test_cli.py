@@ -166,6 +166,13 @@ class TestSubdivide:
                           "--kind", "random:4", "--seed", "11")
         assert first == again
 
+    def test_random_rejects_negative_steps(self, capsys, simplex3):
+        code, out, err = run(capsys, "subdivide", "--input", simplex3,
+                             "--kind", "random:-2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: bad step count in 'random:-2'\n"
+
     def test_unknown_kind(self, capsys, simplex3):
         code, _, err = run(capsys, "subdivide", "--input", simplex3,
                            "--kind", "fold")
@@ -428,6 +435,18 @@ class TestVerifyCommand:
                            "--seeds", "1..3", "--format", "csv")
         assert code == 0
         assert out.count("\n") == 4
+
+    @pytest.mark.parametrize("spec", ["1..10001", "1..1000000000", "1..9999,5,7"])
+    def test_int_spec_cap(self, capsys, spec):
+        code, out, err = run(capsys, "verify", "thm-sd", "--n", "2",
+                             "--seeds", spec)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --seeds {spec!r} lists more than 10000 values\n"
+
+    def test_int_spec_cap_is_inclusive(self):
+        assert cli_mod._parse_int_spec("1..9998,0,-1", "--seeds") == (
+            *range(1, 9999), 0, -1)
 
     def test_verbose_prints_cases(self, capsys):
         _, out, _ = run(capsys, "verify", "cor-2sd", "--n", "2", "--verbose")

@@ -73,6 +73,48 @@ class TestArithmetic:
         assert mul(f, f) == (big * big, 2 * big * big, big * big)
 
 
+_COEFFS = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+)
+_QPOLYS = st.lists(_COEFFS, max_size=6).map(normalize)
+
+
+def _dict_sum(fs):
+    """Coefficient-by-coefficient sum, keyed by exponent."""
+    total = {}
+    for f in fs:
+        for i, c in enumerate(f):
+            total[i] = total.get(i, 0) + c
+    return total
+
+
+@st.composite
+def _summands(draw):
+    """0 to 5 polynomials; sometimes the last one cancels every
+    coefficient of the sum from a drawn degree up."""
+    fs = draw(st.lists(_QPOLYS, max_size=5))
+    if len(fs) < 5 and draw(st.booleans()):
+        total = _dict_sum(fs)
+        cut = draw(st.integers(0, 6))
+        low = draw(st.lists(_COEFFS, min_size=cut, max_size=cut))
+        top = max(total, default=-1)
+        fs.append(normalize(low + [-total.get(i, 0) for i in range(cut, top + 1)]))
+    return fs
+
+
+class TestNaryAdd:
+    def test_empty_sum_is_zero(self):
+        assert add() == ()
+
+    @given(_summands())
+    def test_matches_coefficientwise_sum(self, fs):
+        total = _dict_sum(fs)
+        nonzero = [i for i, c in total.items() if c != 0]
+        want = tuple(total[i] for i in range(max(nonzero) + 1)) if nonzero else ()
+        assert add(*fs) == want
+
+
 class TestReverse:
     def test_symmetric_fixed_point(self):
         assert reverse((1, 4, 1), 2) == (1, 4, 1)

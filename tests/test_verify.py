@@ -178,3 +178,27 @@ class TestCaseValues:
     def test_gamma_steps_follow_seed(self):
         report = run_suite("thm-sd", ns=(2,), seeds=(9,), steps=6)
         assert "steps=2" in report.cases[0].detail
+
+
+class TestEnumerationCap:
+    """verify's own sweeps over S_m stop at perm's desk-scale bound."""
+
+    def test_foata_refuses_past_the_bound(self):
+        with pytest.raises(ValueError, match=r"^enumeration over S_11 exceeds "
+                                             r"the desk-scale bound 10$"):
+            verify._case_foata({"n": 11})
+
+    def test_bad_point_buckets_refuse_past_the_bound(self):
+        with pytest.raises(ValueError, match=r"^enumeration over S_11 exceeds "
+                                             r"the desk-scale bound 10$"):
+            verify._refined_bad_point_counts(10)
+
+    @pytest.mark.parametrize("suite, params", [
+        ("foata", (("n", 11),)),
+        ("prop-dnkj", (("n", 10), ("part", "c"))),
+    ])
+    def test_refusal_is_a_failed_case(self, suite, params):
+        case = verify._run_case((suite, params))
+        assert not case.ok
+        assert case.detail == ("raised ValueError: enumeration over S_11 "
+                               "exceeds the desk-scale bound 10")
