@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import sys
-from math import factorial
 
 from . import verify as verify_mod
 from .complexes import SchemaError, complex_from_json
@@ -23,10 +22,12 @@ from .perm import MAX_ENUM_N, E_nr, d_nk, d_nkj, p_nk
 from .poly import Poly, PolyParseError, format_poly, parse_poly, poly_to_json
 from .realroot import interlace_report
 from .triangulate import (
+    FACETS_CAP,
     FTriangle,
     NotUniformError,
     Triangulation,
     UnknownKindError,
+    _refined_facets,
     f_triangle,
     f_triangle_of,
     identity,
@@ -36,13 +37,12 @@ from .triangulate import (
     stellar,
     triangulation_from_json,
     triangulation_to_json,
+    trivial,
 )
 
 FORMATS = ("text", "json", "csv")
 
 TABLES_N_CAP = 8
-# Facets of sd at the n cap; esd:R builds R^(n-1) of them.
-FACETS_CAP = factorial(TABLES_N_CAP)
 # Values one integer spec such as --seeds 1..20 may list.
 INT_SPEC_CAP = 10_000
 
@@ -123,26 +123,10 @@ def _capped_f_triangle(kind: str, n: int, what: str) -> FTriangle:
     if n > TABLES_N_CAP:
         raise CliError(f"{what} is limited to n <= {TABLES_N_CAP}")
     r = None if kind == "trivial" else parse_kind(kind)
-    if r is not None and n >= 1 and r ** (n - 1) > FACETS_CAP:
+    if r is not None and _refined_facets(trivial(range(1, n + 1)), r) > FACETS_CAP:
         raise CliError(f"esd:{r} with n = {n} has {r}^{n - 1} "
                        f"facets; the limit is {FACETS_CAP}")
     return f_triangle(kind, n)
-
-
-def _refined_facets(T: Triangulation, r: int | None) -> int:
-    """Facets that refining ``T.total`` by sd (r None) or esd:r builds.
-
-    An m-vertex facet becomes m! facets under sd and r^(m-1) under
-    esd:r.  m and r are clamped where a term already exceeds
-    ``FACETS_CAP``, so the sum is exact up to the cap and stays cheap
-    past it.
-    """
-    if r is None:
-        return sum(factorial(min(len(h), TABLES_N_CAP + 1))
-                   for h in T.total.facets)
-    r = min(r, FACETS_CAP + 1)
-    top = FACETS_CAP.bit_length()  # 2^top > FACETS_CAP
-    return sum(r ** min(max(len(h) - 1, 0), top) for h in T.total.facets)
 
 
 def _load_triangulation(path: str) -> Triangulation:

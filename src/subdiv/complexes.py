@@ -188,41 +188,21 @@ def f_vector_from_h(h: Poly, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _maximal_cliques(vertices, adj):
-    out = []
-
-    def bron_kerbosch(r, p, x):
-        if not p and not x:
-            out.append(r)
-            return
-        pivot = max(p | x, key=lambda u: len(adj[u] & p))
-        for v in list(p - adj[pivot]):
-            bron_kerbosch(r | {v}, p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
-
-    bron_kerbosch(frozenset(), set(vertices), set())
-    return out
-
-
 def is_flag(K: SimplicialComplex) -> bool:
     """True when every minimal nonface has exactly two vertices.
 
-    Equivalently, K coincides with the clique complex of its own
-    1-skeleton; checked by confirming every maximal clique is a face.
+    Equivalently, every clique of the 1-skeleton is a face; by induction
+    on its size, every face g of two or more vertices spans a face with
+    each vertex adjacent to all of g.
     """
-    verts = K.vertices
-    if not verts:
-        return True
-    adj = {v: set() for v in verts}
+    adj = {v: set() for v in K.vertices}
     for f in K.facets:
         for a, b in combinations(f, 2):
             adj[a].add(b)
             adj[b].add(a)
-    for clique in _maximal_cliques(verts, adj):
-        if len(clique) >= 3 and tuple(sorted(clique)) not in K:
-            return False
-    return True
+    return all(tuple(sorted(g + (v,))) in K
+               for g in K.faces() if len(g) >= 2
+               for v in set.intersection(*(adj[u] for u in g)))
 
 
 def complex_to_json(K: SimplicialComplex) -> dict:

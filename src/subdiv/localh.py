@@ -23,7 +23,13 @@ from itertools import combinations
 from .complexes import h_from_f_vector
 from .perm import d_nkj, derangement_counts
 from .poly import Poly, add, binom, mul, power, scale, shift
-from .triangulate import FTriangle, Triangulation, face_table, restriction
+from .triangulate import (
+    FTriangle,
+    Triangulation,
+    _restriction_f_vectors,
+    face_table,
+    restriction,
+)
 
 
 def _require_simplex_base(T: Triangulation) -> tuple[int, ...]:
@@ -44,22 +50,14 @@ def _graded_faces(T: Triangulation) -> tuple[int, list[list[int]]]:
     verts = _require_simplex_base(T)
     table = face_table(T)
     if any(size > mask.bit_count() for mask, size in table):
-        _raise_oversized(verts, table)
+        for f, fv in _restriction_f_vectors(T, table):
+            top = len(fv) - 1
+            if top > len(f):
+                raise ValueError(f"complex of dimension {top - 1} needs n >= {top}")
     graded = [[0] * (c + 1) for c in range(len(verts) + 1)]
     for (mask, size), count in table.items():
         graded[mask.bit_count()][size] += count
     return len(verts), graded
-
-
-def _raise_oversized(verts, table) -> None:
-    """Raise for the first base face, by size then lexicographic, whose
-    restriction has a face with more vertices than it has."""
-    for size in range(len(verts) + 1):
-        for f in combinations(range(len(verts)), size):
-            fm = sum(1 << i for i in f)
-            top = max(s for mask, s in table if mask | fm == fm)
-            if top > size:
-                raise ValueError(f"complex of dimension {top - 1} needs n >= {top}")
 
 
 def _local_h_sum(graded, n: int, m: int) -> Poly:

@@ -88,26 +88,6 @@ def _div_exact(f: Poly, g: Poly) -> Poly:
     return q
 
 
-@lru_cache(maxsize=8192)
-def _yun_cached(f: Poly) -> tuple[tuple[Poly, int], ...]:
-    fr = _to_fractions(f)
-    g = sturm_chain(f)[-1]
-    if degree(g) == 0:
-        return ((_pos_primitive(fr), 1),)
-    b = _div_exact(fr, g)
-    d = sub(_div_exact(derivative(fr), g), derivative(b))
-    out: list[tuple[Poly, int]] = []
-    i = 1
-    while degree(b) > 0:
-        a = _remainder_sequence(b, d)[-1]
-        if degree(a) > 0:
-            out.append((_pos_primitive(a), i))
-        b, c = _div_exact(b, a), _div_exact(d, a)
-        d = sub(c, derivative(b))
-        i += 1
-    return tuple(out)
-
-
 def yun_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     """Squarefree factors of ``f`` with multiplicities, ascending.
 
@@ -121,7 +101,22 @@ def yun_decomposition(f: Poly) -> list[tuple[Poly, int]]:
         raise ValueError("cannot decompose the zero polynomial")
     if degree(f) == 0:
         return []
-    return list(_yun_cached(f))
+    fr = _to_fractions(f)
+    g = sturm_chain(f)[-1]
+    if degree(g) == 0:
+        return [(_pos_primitive(fr), 1)]
+    b = _div_exact(fr, g)
+    d = sub(_div_exact(derivative(fr), g), derivative(b))
+    out: list[tuple[Poly, int]] = []
+    i = 1
+    while degree(b) > 0:
+        a = _remainder_sequence(b, d)[-1]
+        if degree(a) > 0:
+            out.append((_pos_primitive(a), i))
+        b, c = _div_exact(b, a), _div_exact(d, a)
+        d = sub(c, derivative(b))
+        i += 1
+    return out
 
 
 def _remainder_sequence(a: Poly, b: Poly) -> tuple[Poly, ...]:
@@ -233,13 +228,13 @@ def _isolate_squarefree(p: Poly):
             if degree(p) >= 1 and eval_at(p, s) == 0:
                 exacts.append(Fraction(s))
                 p = _deflate(p, Fraction(s))
-    if degree(p) == 1:
-        exacts.append(Fraction(-p[0], p[1]))
-        p = (p[1],)
-    if degree(p) < 1:
-        return [], sorted(exacts), p, None
 
     while True:
+        if degree(p) == 1:
+            exacts.append(Fraction(-p[0], p[1]))
+            p = (p[1],)
+        if degree(p) < 1:
+            return [], sorted(exacts), p, None
         chain = sturm_chain(p)
         bound = cauchy_bound(p)
         cache: dict = {}
@@ -265,11 +260,6 @@ def _isolate_squarefree(p: Poly):
             break
         exacts.append(hit)
         p = _deflate(p, hit)
-        if degree(p) == 1:
-            exacts.append(Fraction(-p[0], p[1]))
-            p = (p[1],)
-        if degree(p) < 1:
-            return [], sorted(exacts), p, None
 
     # Shrink intervals until neither interior nor endpoints meet a
     # previously extracted root; downstream Sturm counts of arbitrary
@@ -364,16 +354,12 @@ def isolate_roots(f: Poly) -> RootIsolation:
         for r1, r2 in zip(records, records[1:]):
             lo = max(r1[0], r2[0])
             hi = min(r1[1], r2[1])
-            if lo < hi or (r1[0] == r1[1] and r1[0] > r2[0]) or (
-                r2[0] == r2[1] and r1[0] < r2[0] < r1[1]
-            ):
+            if lo < hi or (r2[0] == r2[1] and r1[0] < r2[0] < r1[1]):
                 clash = (r1, r2)
                 break
         if clash is None:
             break
         r1, r2 = clash
-        if r1[0] == r1[1]:
-            r1, r2 = r2, r1  # split the interval, not the point
         if r2[0] == r2[1] and r1[0] < r2[0] < r1[1]:
             t = r2[0]
         else:

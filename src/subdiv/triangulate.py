@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
+from math import factorial
 from typing import Sequence
 
 from .complexes import (
@@ -23,6 +24,9 @@ from .complexes import (
     face,
     full_simplex,
 )
+
+# Facets of sd of the 8-vertex simplex; no sd or esd:R build may make more.
+FACETS_CAP = factorial(8)
 
 
 @dataclass(frozen=True)
@@ -89,8 +93,6 @@ def barycentric(T: Triangulation) -> Triangulation:
         for order in permutations(h):
             facets.append(tuple(vertex_of[tuple(sorted(order[:k]))]
                                 for k in range(1, len(h) + 1)))
-    if not facets:
-        facets = [()] if not T.total.is_void else []
     labels = {i: "barycenter of {%s}" % ",".join(map(str, g))
               for g, i in vertex_of.items()}
     carriers = {vertex_of[g]: carrier(T, g) for g in old_faces}
@@ -104,8 +106,6 @@ def _edgewise_chains(m: int, r: int):
     entry pinned to r.  Chains grow by bumping one free position at a
     time, legal while the vector stays nondecreasing.
     """
-    if m == 0:
-        return
     for start in combinations_with_replacement(range(r + 1), m - 1):
         stack = [(start + (r,), frozenset(range(m - 1)), (start + (r,),))]
         while stack:
@@ -195,6 +195,21 @@ def refine(T: Triangulation, kind: str) -> Triangulation:
     return barycentric(T) if r is None else edgewise(T, r)
 
 
+def _refined_facets(T: Triangulation, r: int | None) -> int:
+    """Facets that refining ``T.total`` by sd (r None) or esd:r builds.
+
+    An m-vertex facet becomes m! facets under sd and r^(m-1) under
+    esd:r.  m and r are clamped where a term already exceeds
+    ``FACETS_CAP``, so the sum is exact up to the cap and stays cheap
+    past it.
+    """
+    if r is None:  # 9! > FACETS_CAP
+        return sum(factorial(min(len(h), 9)) for h in T.total.facets)
+    r = min(r, FACETS_CAP + 1)
+    top = FACETS_CAP.bit_length()  # 2^top > FACETS_CAP
+    return sum(r ** min(max(len(h) - 1, 0), top) for h in T.total.facets)
+
+
 def stellar(T: Triangulation, G) -> Triangulation:
     """Star the face ``G``: cone a fresh vertex over its link."""
     g = face(G)
@@ -252,20 +267,24 @@ def random_triangulation(vertices, steps: int, seed: int) -> Triangulation:
     return T
 
 
+def _carrier_masks(T: Triangulation, carriers: dict) -> dict:
+    """Bit mask of each value of ``carriers``, bit i standing for
+    ``T.base.vertices[i]``; a face leaving the base gets no mask."""
+    bit = {v: 1 << i for i, v in enumerate(T.base.vertices)}
+    return {key: sum(bit[u] for u in set(c))
+            for key, c in carriers.items() if all(u in bit for u in c)}
+
+
 def face_table(T: Triangulation) -> dict[tuple[int, int], int]:
     """Faces of ``T.total`` counted by (carrier mask, face size).
 
-    Bit i of a mask stands for ``T.base.vertices[i]``.  A face lies in
+    A face's mask ORs its vertices' :func:`_carrier_masks`.  It lies in
     the restriction to a base face F exactly when its mask is inside
     F's, so this one pass over the faces answers every restriction's
     face counts at once.  Faces that no restriction keeps (a vertex
     without a carrier, or with one leaving the base) are left out.
     """
-    bit = {v: 1 << i for i, v in enumerate(T.base.vertices)}
-    vertex_mask = {}
-    for v, c in T.vertex_carrier.items():
-        if all(u in bit for u in c):
-            vertex_mask[v] = sum(bit[u] for u in set(c))
+    vertex_mask = _carrier_masks(T, T.vertex_carrier)
     table: dict[tuple[int, int], int] = {}
     for g in T.total.faces():
         mask = 0
@@ -278,6 +297,19 @@ def face_table(T: Triangulation) -> dict[tuple[int, int], int]:
             key = (mask, len(g))
             table[key] = table.get(key, 0) + 1
     return table
+
+
+def _restriction_f_vectors(T: Triangulation, table):
+    """Each base face, in canonical order, with the f-vector of its
+    restriction read off ``table = face_table(T)``; the vector runs past
+    the face's size when the restriction has a face too big for it."""
+    for f, fm in _carrier_masks(T, {f: f for f in T.base.faces()}).items():
+        counts = [0] * (len(f) + 1)
+        for (mask, size), count in table.items():
+            if mask | fm == fm:
+                counts.extend([0] * (size + 1 - len(counts)))
+                counts[size] += count
+        yield f, tuple(counts)
 
 
 class NotUniformError(ValueError):
@@ -334,18 +366,9 @@ def f_triangle_of(T: Triangulation) -> FTriangle:
     if not T.base.is_pure():
         raise ValueError("the base complex must be pure")
     n = T.base.dimension() + 1
-    table = face_table(T)
-    bit = {v: 1 << i for i, v in enumerate(T.base.vertices)}
     rows: list[tuple[int, ...]] = []
     ref_faces: list[Face] = []
-    for f in T.base.faces():  # by size, then lexicographic
-        fm = sum(bit[v] for v in f)
-        counts = [0] * (len(f) + 1)
-        for (mask, size), count in table.items():
-            if mask | fm == fm:
-                counts.extend([0] * (size + 1 - len(counts)))
-                counts[size] += count
-        fv = tuple(counts)
+    for f, fv in _restriction_f_vectors(T, face_table(T)):
         if len(f) == len(rows):
             rows.append(fv)
             ref_faces.append(f)
@@ -378,11 +401,13 @@ def validate_triangulation(T: Triangulation) -> dict[Face, Triangulation]:
     singles = sorted(c[0] for c in T.vertex_carrier.values() if len(c) == 1)
     if tuple(singles) != T.base.vertices:
         raise ValueError("base vertices and singleton carriers do not match up")
+    carried = set(_carrier_masks(T, {f: f for f in T.base.faces()}).values())
+    vertex_mask = _carrier_masks(T, T.vertex_carrier)
     for g in T.total.faces():
-        spanned = set()
+        mask = 0
         for v in g:
-            spanned.update(T.vertex_carrier[v])
-        if tuple(sorted(spanned)) not in T.base:
+            mask |= vertex_mask[v]
+        if mask not in carried:
             raise ValueError(f"face {g} is not carried by any base face")
     restrictions = {}
     for f in T.base.faces():

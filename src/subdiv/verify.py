@@ -51,8 +51,10 @@ from .poly import (
 )
 from .realroot import interlaces, is_interlacing_sequence, is_real_rooted
 from .triangulate import (
+    FACETS_CAP,
     FTriangle,
     Triangulation,
+    _refined_facets,
     barycentric,
     compose,
     edgewise,
@@ -111,12 +113,35 @@ class VerifySuiteReport:
 # global so that a wrapper installed there by a tracer sees it.
 @lru_cache(maxsize=None)
 def _triangle(kind: str, n: int) -> FTriangle:
+    _refuse_big(trivial(range(1, n + 1)), parse_kind(kind))
     return f_triangle(kind, n)
 
 
-def _gamma(n: int, seed: int, steps_cap: int) -> tuple[Triangulation, int]:
+def _refuse_big(T: Triangulation, r: int | None) -> None:
+    """Refuse, as ``subdivide`` does, an sd (r None) or esd:r of ``T``
+    past ``FACETS_CAP`` facets; ``edgewise`` rejects r < 1 itself."""
+    if (r is None or r >= 1) and _refined_facets(T, r) > FACETS_CAP:
+        kind = "sd" if r is None else f"esd:{r}"
+        raise ValueError(f"{kind} would build more than {FACETS_CAP} facets")
+
+
+def _gamma(n: int, seed: int, steps_cap: int, r: int | None) -> tuple[Triangulation, int]:
+    """The case's random triangulation; its facets have n vertices, so
+    :func:`_refuse_big` checks the simplex before it is built."""
+    _refuse_big(trivial(range(1, n + 1)), r)
     steps = seed % (steps_cap + 1)
-    return random_triangulation(range(1, n + 1), steps, seed=seed), steps
+    G = random_triangulation(range(1, n + 1), steps, seed=seed)
+    _refuse_big(G, r)
+    return G, steps
+
+
+def _iterated_sd(n: int, k: int) -> Triangulation:
+    """``iterated_sd`` of the n-vertex simplex, checked first: each sd
+    multiplies the facets by n!."""
+    sd = _refined_facets(trivial(range(1, n + 1)), None)
+    if sd ** min(k, FACETS_CAP.bit_length()) > FACETS_CAP:
+        raise ValueError(f"sd^{k} would build more than {FACETS_CAP} facets")
+    return iterated_sd(range(1, n + 1), k)
 
 
 def _structural(T: Triangulation, n: int, problems: list[str]) -> Poly:
@@ -162,7 +187,7 @@ def _result(params: dict, problems: list[str], ok_detail: str) -> CaseResult:
 
 def _case_thm_sd(params: dict) -> CaseResult:
     n, seed = params["n"], params["seed"]
-    G, steps = _gamma(n, seed, params["steps"])
+    G, steps = _gamma(n, seed, params["steps"], None)
     T = barycentric(G)
     problems: list[str] = []
     ell = _structural(T, n, problems)
@@ -172,7 +197,7 @@ def _case_thm_sd(params: dict) -> CaseResult:
 
 def _case_thm_esd(params: dict) -> CaseResult:
     n, r, seed = params["n"], params["r"], params["seed"]
-    G, steps = _gamma(n, seed, params["steps"])
+    G, steps = _gamma(n, seed, params["steps"], r)
     T = edgewise(G, r)
     problems: list[str] = []
     ell = _structural(T, n, problems)
@@ -182,7 +207,7 @@ def _case_thm_esd(params: dict) -> CaseResult:
 
 def _case_thm_uniform(params: dict) -> CaseResult:
     n, seed, kind = params["n"], params["seed"], params["kind"]
-    G, steps = _gamma(n, seed, params["steps"])
+    G, steps = _gamma(n, seed, params["steps"], parse_kind(kind))
     T = compose(refine(identity(G.total), kind), G)
     problems: list[str] = []
     direct = _structural(T, n, problems)
@@ -209,7 +234,7 @@ def _case_thm_dnkj(params: dict) -> CaseResult:
 
 def _case_cor_sd(params: dict) -> CaseResult:
     n, k = params["n"], params["k"]
-    T = iterated_sd(range(1, n + 1), k)
+    T = _iterated_sd(n, k)
     problems: list[str] = []
     ell = _structural(T, n, problems)
     _certify(ell, eulerian(n), problems)
@@ -219,7 +244,7 @@ def _case_cor_sd(params: dict) -> CaseResult:
 def _case_cor_2sd(params: dict) -> CaseResult:
     n = params["n"]
     from_stats = second_sd_local_h(n)
-    direct = local_h(iterated_sd(range(1, n + 1), 2))
+    direct = local_h(_iterated_sd(n, 2))
     problems: list[str] = []
     if from_stats != direct:
         problems.append(

@@ -1,4 +1,5 @@
-"""Acceptance gate: eleven end-to-end criteria, one test each.
+"""Acceptance gate: eleven end-to-end criteria, one test each, and the
+report digests of the suites no criterion runs.
 
 Run with ``pytest -v -s tests/test_acceptance.py`` to see one PASS line
 per criterion; a failing criterion shows up as the corresponding failed
@@ -46,6 +47,9 @@ REPORT_DIGESTS = {
     "thm-dnkj": "e14d3c3fba19053816ed5ebdd325217239cd4f1c19d12a6f647e1cefa5199936",
     "prop-esdr": "98c63dcd95a602bbc907e8ddb95491f3436a3cc32bd8cb955901e4d67495f061",
     "foata": "7e3c9a2afc69255cf811dcea0b26f17c07f6f6ac6730bbcc599d50c2c49aede3",
+    "cor-sd": "2f586a79b934e857fb7f7ec3fe51932a60f548365ad436016ddf1a7dc7a18815",
+    "cor-2sd": "96b4229de218f6c47bcd650e1334e5d84dbbabeaf78514ca543108336aea535e",
+    "prop-lnkj": "6c845e1eecaf06119d93aa1c8c51c58a55416b0d277e8b550c46cece43d2e3aa",
 }
 
 
@@ -235,3 +239,13 @@ def test_criterion_11_structural_invariants(capsys, monkeypatch):
         announce(11, elapsed,
                  "symmetry, nonnegativity, h round trip, and carrier rules "
                  "enforced on every triangulation the suites construct")
+
+
+@pytest.mark.parametrize("suite, cases", [
+    ("cor-sd", 8), ("cor-2sd", 5), ("prop-lnkj", 18),
+])
+def test_remaining_suites_at_default_scale(suite, cases):
+    report = run_suite(suite)
+    assert report.ok, [f.label for f in report.failures]
+    assert report.cases_run == cases
+    assert_digest(report)

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subdiv.complexes import (
     SchemaError,
@@ -242,6 +242,78 @@ class TestFlag:
     def test_void_and_empty(self):
         assert is_flag(from_facets([]))
         assert is_flag(from_facets([()]))
+
+
+def _maximal_cliques(vertices, adj):
+    out = []
+
+    def bron_kerbosch(r, p, x):
+        if not p and not x:
+            out.append(r)
+            return
+        pivot = max(p | x, key=lambda u: len(adj[u] & p))
+        for v in list(p - adj[pivot]):
+            bron_kerbosch(r | {v}, p & adj[v], x & adj[v])
+            p.remove(v)
+            x.add(v)
+
+    bron_kerbosch(frozenset(), set(vertices), set())
+    return out
+
+
+def clique_search_is_flag(K: SimplicialComplex) -> bool:
+    """Oracle: every maximal clique of the 1-skeleton is a face,
+    found by a Bron-Kerbosch search with pivoting."""
+    verts = K.vertices
+    if not verts:
+        return True
+    adj = {v: set() for v in verts}
+    for f in K.facets:
+        for a, b in itertools.combinations(f, 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    for clique in _maximal_cliques(verts, adj):
+        if len(clique) >= 3 and tuple(sorted(clique)) not in K:
+            return False
+    return True
+
+
+@st.composite
+def flag_candidates(draw):
+    """Random facet lists, simplex boundaries glued to them, and refined
+    triangulations, so that both flag and non-flag complexes come up."""
+    from subdiv.triangulate import barycentric, edgewise, random_triangulation
+
+    shape = draw(st.sampled_from(("facets", "boundary", "stellar", "sd", "esd")))
+    if shape == "facets":
+        facets = draw(st.lists(st.lists(st.integers(1, 7), max_size=4), max_size=8))
+        return from_facets(facets)
+    if shape == "boundary":
+        n = draw(st.integers(2, 6))
+        facets = list(itertools.combinations(range(1, n + 1), n - 1))
+        extra = draw(st.lists(st.lists(st.integers(1, 8), max_size=3), max_size=3))
+        return from_facets(facets + extra)
+    n = draw(st.integers(1, 4))
+    G = random_triangulation(tuple(range(1, n + 1)), draw(st.integers(0, 4)),
+                             seed=draw(st.integers(0, 10**6)))
+    if shape == "sd":
+        G = barycentric(G)
+    elif shape == "esd":
+        G = edgewise(G, draw(st.integers(2, 3)))
+    return G.total
+
+
+class TestFlagByCliqueClosure:
+    @settings(max_examples=200, deadline=None)
+    @given(flag_candidates())
+    @example(from_facets([]))
+    @example(from_facets([()]))
+    @example(from_facets([(1,), (2,), (3,)]))
+    @example(from_facets([(1, 2), (2, 3), (1, 3)]))
+    @example(from_facets([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]))
+    @example(from_facets([(1, 2, 3), (1, 4), (2, 4), (3, 4)]))
+    def test_agrees_with_clique_search(self, K):
+        assert is_flag(K) == clique_search_is_flag(K)
 
 
 class TestJson:

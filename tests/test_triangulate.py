@@ -534,6 +534,68 @@ class TestValidateRejections:
         assert str(err.value) == message
 
 
+def union_validate(T: Triangulation):
+    """Oracle for :func:`validate_triangulation`: the same checks in the
+    same order, with each face's carrier taken as the sorted union of
+    its vertices' carriers and looked up among the base faces."""
+    if set(T.vertex_carrier) != set(T.total.vertices):
+        raise ValueError("vertex_carrier keys must be exactly the total's vertices")
+    for v, c in T.vertex_carrier.items():
+        if c != tuple(sorted(set(c))) or not c or c not in T.base:
+            raise ValueError(f"carrier of {v} is not a nonempty base face: {c}")
+    singles = sorted(c[0] for c in T.vertex_carrier.values() if len(c) == 1)
+    if tuple(singles) != T.base.vertices:
+        raise ValueError("base vertices and singleton carriers do not match up")
+    for g in T.total.faces():
+        spanned = set()
+        for v in g:
+            spanned.update(T.vertex_carrier[v])
+        if tuple(sorted(spanned)) not in T.base:
+            raise ValueError(f"face {g} is not carried by any base face")
+    restrictions = {}
+    for f in T.base.faces():
+        R = restriction(T, f)
+        sub = R.total
+        if sub.is_void or not sub.is_pure() or sub.dimension() != len(f) - 1:
+            raise ValueError(f"restriction to {f} is not a triangulation of it")
+        restrictions[f] = R
+    return restrictions
+
+
+@st.composite
+def non_simplex_bases(draw):
+    """Triangulations of random complexes that are mostly not simplices:
+    the identity, a stellar subdivision of it, or its sd.  Half the time
+    a vertex with a carrier of two or more vertices is moved to another
+    such base face, which keeps the singleton carriers and so reaches
+    the carried check."""
+    facets = draw(st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=4),
+                           max_size=5))
+    T = identity(from_facets(facets))
+    big = [g for g in T.total.faces() if len(g) >= 2]
+    if big and draw(st.booleans()):
+        T = stellar(T, draw(st.sampled_from(big)))
+    if draw(st.booleans()):
+        T = barycentric(T)
+    inner = [v for v, c in T.vertex_carrier.items() if len(c) >= 2]
+    if inner and draw(st.booleans()):
+        carriers = dict(T.vertex_carrier)
+        carriers[draw(st.sampled_from(inner))] = draw(
+            st.sampled_from([f for f in T.base.faces() if len(f) >= 2]))
+        T = Triangulation(T.base, T.total, carriers)
+    return T
+
+
+class TestCarriedCheckOnComplexes:
+    """The carrier-mask check against the set-union oracle, over bases
+    where some unions of carriers are not base faces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(perturbed(non_simplex_bases()))
+    def test_agrees_with_set_union(self, T):
+        assert outcome(validate_triangulation, T) == outcome(union_validate, T)
+
+
 class TestTrustedBuilders:
     """Builders skip from_facets' checks; their output must pass them."""
 

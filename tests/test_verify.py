@@ -202,3 +202,65 @@ class TestEnumerationCap:
         assert not case.ok
         assert case.detail == ("raised ValueError: enumeration over S_11 "
                                "exceeds the desk-scale bound 10")
+
+
+class TestFacetCap:
+    """verify refuses builds past FACETS_CAP facets, as the CLI does,
+    before any builder runs."""
+
+    BUILDERS = ("f_triangle", "refine", "barycentric", "edgewise",
+                "iterated_sd", "random_triangulation")
+
+    @staticmethod
+    def refuse_builders(monkeypatch, names):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a builder ran before the size check")
+
+        for name in names:
+            monkeypatch.setattr(verify, name, refuse)
+        verify._triangle.cache_clear()
+
+    @pytest.mark.parametrize("suite, params, what", [
+        ("prop-lnkj", (("kind", "esd:9"), ("part", "a"), ("size", 6)), "esd:9"),
+        ("prop-dnkj", (("n", 9), ("part", "a")), "sd"),
+        ("prop-dnkj", (("n", 9), ("part", "b")), "sd"),
+        ("prop-esdr", (("n", 6), ("r", 9)), "esd:9"),
+        ("cor-sd", (("k", 2), ("n", 6)), "sd^2"),
+        ("cor-sd", (("k", 1), ("n", 9)), "sd^1"),
+        ("cor-2sd", (("n", 6),), "sd^2"),
+        ("thm-sd", (("n", 9), ("seed", 7), ("steps", 6)), "sd"),
+        ("thm-esd", (("n", 6), ("r", 9), ("seed", 7), ("steps", 6)), "esd:9"),
+        ("thm-uniform", (("kind", "esd:9"), ("n", 6), ("seed", 7), ("steps", 6)),
+         "esd:9"),
+    ], ids=["prop-lnkj", "prop-dnkj-a", "prop-dnkj-b", "prop-esdr", "cor-sd-k2",
+            "cor-sd-k1", "cor-2sd", "thm-sd", "thm-esd", "thm-uniform"])
+    def test_refused_before_building(self, monkeypatch, suite, params, what):
+        self.refuse_builders(monkeypatch, self.BUILDERS)
+        case = verify._run_case((suite, params))
+        assert not case.ok
+        assert case.detail == (f"raised ValueError: {what} would build more "
+                               f"than 40320 facets")
+
+    def test_refinement_of_gamma_is_counted(self, monkeypatch):
+        # seed 1 takes one stellar step: 2 facets, so sd builds 2 * 8!.
+        self.refuse_builders(monkeypatch, ("barycentric",))
+        case = verify._run_case(
+            ("thm-sd", (("n", 8), ("seed", 1), ("steps", 6))))
+        assert case.detail == ("raised ValueError: sd would build more than "
+                               "40320 facets")
+
+    @pytest.mark.parametrize("suite, params", [
+        ("prop-dnkj", (("n", 8), ("part", "a"))),
+        ("cor-sd", (("k", 1), ("n", 8))),
+        ("thm-sd", (("n", 8), ("seed", 7), ("steps", 6))),
+    ], ids=["sd-triangle", "iterated-sd", "gamma"])
+    def test_exactly_the_cap_reaches_the_builder(self, monkeypatch, suite, params):
+        self.refuse_builders(monkeypatch, self.BUILDERS[:-1])
+        case = verify._run_case((suite, params))
+        assert case.detail == ("raised AssertionError: a builder ran before "
+                               "the size check")
+
+    def test_below_r_one_is_left_to_edgewise(self):
+        case = verify._run_case(
+            ("thm-esd", (("n", 3), ("r", -300), ("seed", 7), ("steps", 6))))
+        assert case.detail == "raised ValueError: r must be a positive integer"
