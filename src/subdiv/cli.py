@@ -23,6 +23,7 @@ from .poly import Poly, PolyParseError, format_poly, parse_poly, poly_to_json
 from .realroot import interlace_report
 from .triangulate import (
     FACETS_CAP,
+    TABLES_N_CAP,
     FTriangle,
     NotUniformError,
     Triangulation,
@@ -42,7 +43,6 @@ from .triangulate import (
 
 FORMATS = ("text", "json", "csv")
 
-TABLES_N_CAP = 8
 # Values one integer spec such as --seeds 1..20 may list.
 INT_SPEC_CAP = 10_000
 

@@ -29,10 +29,6 @@ def _check_enum(n: int) -> None:
         raise ValueError(f"enumeration over S_{n} exceeds the desk-scale bound {MAX_ENUM_N}")
 
 
-def descents(w: Perm) -> int:
-    return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
-
-
 def ascents(w: Perm) -> int:
     return sum(1 for i in range(len(w) - 1) if w[i] < w[i + 1])
 
@@ -46,30 +42,6 @@ def _counts_to_poly(counts: dict[int, int]) -> Poly:
         return ()
     top = max(counts)
     return normalize(counts.get(i, 0) for i in range(top + 1))
-
-
-@lru_cache(maxsize=None)
-def eulerian(n: int) -> Poly:
-    """The descent enumerator over S_n, with the empty product giving 1."""
-    _check_enum(n)
-    counts: dict[int, int] = {}
-    for w in permutations(range(1, n + 1)):
-        d = descents(w)
-        counts[d] = counts.get(d, 0) + 1
-    return _counts_to_poly(counts)
-
-
-def p_nk(n: int, k: int) -> Poly:
-    """Descent enumerator over permutations of [n+1] with first value k+1."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    _check_enum(n + 1)
-    counts: dict[int, int] = {}
-    rest = [v for v in range(1, n + 2) if v != k + 1]
-    for tail in permutations(rest):
-        d = descents((k + 1,) + tail)
-        counts[d] = counts.get(d, 0) + 1
-    return _counts_to_poly(counts)
 
 
 @lru_cache(maxsize=None)
@@ -97,15 +69,43 @@ def _sweep(m: int) -> dict[tuple[int, int, int], int]:
     return acc
 
 
+def _exc_poly(m: int, keep) -> Poly:
+    """Excedance enumerator over the w in S_m whose max fixed point and
+    position of value 1 pass ``keep(maxfix, pos)``."""
+    counts: dict[int, int] = {}
+    for (maxfix, pos, exc), cnt in _sweep(m).items():
+        if keep(maxfix, pos):
+            counts[exc] = counts.get(exc, 0) + cnt
+    return _counts_to_poly(counts)
+
+
+def eulerian(n: int) -> Poly:
+    """The descent enumerator over S_n, with the empty product giving 1.
+
+    Read off the sweep as the excedance enumerator: :func:`foata`
+    followed by reversal sends excedances to descents.
+    """
+    return _exc_poly(n, lambda maxfix, pos: True)
+
+
+def p_nk(n: int, k: int) -> Poly:
+    """Descent enumerator over permutations of [n+1] with first value k+1.
+
+    Read off the sweep as the excedance enumerator over permutations of
+    [n+1] with value 1 in position k+1: :func:`foata` followed by
+    reversal sends excedances to descents and the position of 1 to the
+    first value.
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    return _exc_poly(n + 1, lambda maxfix, pos: pos == k + 1)
+
+
 def d_nk(n: int, k: int) -> Poly:
     """Excedance enumerator over w in S_n with all fixed points in [n-k]."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    counts: dict[int, int] = {}
-    for (maxfix, _, exc), cnt in _sweep(n).items():
-        if maxfix <= n - k:
-            counts[exc] = counts.get(exc, 0) + cnt
-    return _counts_to_poly(counts)
+    return _exc_poly(n, lambda maxfix, pos: maxfix <= n - k)
 
 
 def d_nkj(n: int, k: int, j: int) -> Poly:
@@ -118,11 +118,7 @@ def d_nkj(n: int, k: int, j: int) -> Poly:
     """
     if not (0 <= k <= n and 0 <= j <= n):
         raise ValueError(f"need 0 <= k, j <= n, got n={n}, k={k}, j={j}")
-    counts: dict[int, int] = {}
-    for (maxfix, jpos, exc), cnt in _sweep(n + 1).items():
-        if jpos == j + 1 and maxfix <= n + 1 - k:
-            counts[exc] = counts.get(exc, 0) + cnt
-    return _counts_to_poly(counts)
+    return _exc_poly(n + 1, lambda maxfix, pos: pos == j + 1 and maxfix <= n + 1 - k)
 
 
 def foata(w: Perm) -> Perm:
@@ -174,14 +170,9 @@ def derangement_counts(n: int) -> tuple[int, ...]:
 
     Returns (D_{n,0}, ..., D_{n,n-1}) for n >= 1 and (1,) for n = 0.
     """
-    _check_enum(n)
-    if n == 0:
-        return (1,)
-    out = [0] * n
-    for (maxfix, _, exc), cnt in _sweep(n).items():
-        if maxfix == 0:
-            out[exc] += cnt
-    return tuple(out)
+    counts = _exc_poly(n, lambda maxfix, pos: maxfix == 0)
+    # S_1 has no derangements; for n >= 2 the top count D_{n,n-1} is 1.
+    return counts + (0,) * (n - len(counts))
 
 
 def E_nr(n: int, r: int) -> Poly:

@@ -141,27 +141,9 @@ def sturm_chain(f: Poly) -> tuple[Poly, ...]:
     return _remainder_sequence(p0, derivative(p0))
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
-_POS_INF = object()
-_NEG_INF = object()
-
-
-def _sign_at(p: Poly, x) -> int:
-    if not p:
-        return 0
-    if x is _POS_INF:
-        return _sign(p[-1])
-    if x is _NEG_INF:
-        s = _sign(p[-1])
-        return -s if degree(p) % 2 else s
-    return _sign(eval_at(p, x))
-
-
-def _variations(chain, x) -> int:
-    signs = [s for s in (_sign_at(p, x) for p in chain) if s != 0]
+def _variations(values) -> int:
+    """Sign changes in a sequence of numbers, zeros skipped."""
+    signs = [v > 0 for v in values if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -170,9 +152,12 @@ def _index_at_infinity(chain) -> int:
 
     For the sequence of ``(a, b)`` this is the Cauchy index of ``b/a``
     over the whole real line; for a Sturm chain it is the number of
-    distinct real roots.  Only leading coefficients and degrees are read.
+    distinct real roots.  Only leading coefficients and degrees are read;
+    no entry is zero, since callers return early on zero input and a
+    remainder sequence stops before zero.
     """
-    return _variations(chain, _NEG_INF) - _variations(chain, _POS_INF)
+    at_neg_inf = (-p[-1] if degree(p) % 2 else p[-1] for p in chain)
+    return _variations(at_neg_inf) - _variations(p[-1] for p in chain)
 
 
 def _count_roots(chain, a, b, cache) -> int:
@@ -182,7 +167,7 @@ def _count_roots(chain, a, b, cache) -> int:
     """
     for x in (a, b):
         if x not in cache:
-            cache[x] = _variations(chain, x)
+            cache[x] = _variations(eval_at(p, x) for p in chain)
     return cache[a] - cache[b]
 
 

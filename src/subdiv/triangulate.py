@@ -27,6 +27,10 @@ from .complexes import (
 
 # Facets of sd of the 8-vertex simplex; no sd or esd:R build may make more.
 FACETS_CAP = factorial(8)
+# Vertices of the largest simplex that tables and verify build over.
+TABLES_N_CAP = 8
+# Stellar steps of one random refinement; each step lists every face.
+STEPS_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -56,8 +60,7 @@ def carrier(T: Triangulation, G) -> Face:
 
 def trivial(vertices) -> Triangulation:
     """The simplex on ``vertices``, subdivided by doing nothing."""
-    simplex = full_simplex(vertices)
-    return Triangulation(simplex, simplex, {v: (v,) for v in simplex.vertices})
+    return identity(full_simplex(vertices))
 
 
 def identity(K: SimplicialComplex) -> Triangulation:
@@ -255,8 +258,11 @@ def random_triangulation(vertices, steps: int, seed: int) -> Triangulation:
     """Random stellar subdivisions of a simplex, reproducible by seed.
 
     Each step lists the faces with at least two vertices in canonical
-    order and stars the one picked by ``Random(seed).randrange``.
+    order and stars the one picked by ``Random(seed).randrange``.  More
+    than ``STEPS_CAP`` steps are refused before the first one.
     """
+    if steps > STEPS_CAP:
+        raise ValueError(f"random refinement is limited to {STEPS_CAP} steps")
     rng = random.Random(seed)
     T = trivial(vertices)
     for _ in range(steps):

@@ -52,14 +52,13 @@ from .poly import (
 from .realroot import interlaces, is_interlacing_sequence, is_real_rooted
 from .triangulate import (
     FACETS_CAP,
+    TABLES_N_CAP,
     FTriangle,
     Triangulation,
     _refined_facets,
     barycentric,
-    compose,
     edgewise,
     f_triangle,
-    identity,
     iterated_sd,
     parse_kind,
     random_triangulation,
@@ -119,10 +118,15 @@ def _triangle(kind: str, n: int) -> FTriangle:
 
 def _refuse_big(T: Triangulation, r: int | None) -> None:
     """Refuse, as ``subdivide`` does, an sd (r None) or esd:r of ``T``
-    past ``FACETS_CAP`` facets; ``edgewise`` rejects r < 1 itself."""
+    past ``FACETS_CAP`` facets; ``edgewise`` rejects r < 1 itself.  Then
+    refuse a base past ``TABLES_N_CAP`` vertices, which esd:1 reaches
+    without tripping the facet count."""
     if (r is None or r >= 1) and _refined_facets(T, r) > FACETS_CAP:
         kind = "sd" if r is None else f"esd:{r}"
         raise ValueError(f"{kind} would build more than {FACETS_CAP} facets")
+    if len(T.base.vertices) > TABLES_N_CAP:
+        raise ValueError(f"a simplex on {len(T.base.vertices)} vertices is "
+                         f"past the limit of {TABLES_N_CAP}")
 
 
 def _gamma(n: int, seed: int, steps_cap: int, r: int | None) -> tuple[Triangulation, int]:
@@ -208,7 +212,7 @@ def _case_thm_esd(params: dict) -> CaseResult:
 def _case_thm_uniform(params: dict) -> CaseResult:
     n, seed, kind = params["n"], params["seed"], params["kind"]
     G, steps = _gamma(n, seed, params["steps"], parse_kind(kind))
-    T = compose(refine(identity(G.total), kind), G)
+    T = refine(G, kind)
     problems: list[str] = []
     direct = _structural(T, n, problems)
     expanded = local_h_via_uniform(_triangle(kind, n), c_coefficients(G))
@@ -540,6 +544,12 @@ def run_suite(suite: str, *, ns=None, seeds=None, steps=None, rs=None,
     """Run one named suite and return its sorted, deterministic report."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(_SUITES)}")
+    # sd^k of a simplex on n >= 2 vertices has at least 2^k facets, so
+    # a larger k is refused there; at n = 1, sd^k is just a point.
+    top_k = FACETS_CAP.bit_length() - 1
+    if k_max is not None and k_max > top_k:
+        raise ValueError(f"k is limited to {top_k}: sd^k has at least 2^k "
+                         f"facets and the limit is {FACETS_CAP}")
     for kind in kinds or ():
         parse_kind(kind)
     options = {

@@ -173,6 +173,13 @@ class TestSubdivide:
         assert out == ""
         assert err == "error: bad step count in 'random:-2'\n"
 
+    def test_random_past_the_step_cap(self, capsys, simplex3):
+        code, out, err = run(capsys, "subdivide", "--input", simplex3,
+                             "--kind", "random:65")
+        assert code == 2
+        assert out == ""
+        assert err == "error: random refinement is limited to 64 steps\n"
+
     def test_unknown_kind(self, capsys, simplex3):
         code, _, err = run(capsys, "subdivide", "--input", simplex3,
                            "--kind", "fold")
@@ -475,6 +482,18 @@ class TestVerifyCommand:
     def test_bad_steps(self, capsys):
         code, _, err = run(capsys, "verify", "thm-sd", "--steps", "-1")
         assert code == 2
+
+    def test_k_past_the_cap(self, capsys):
+        code, out, err = run(capsys, "verify", "cor-sd", "--n", "1", "--k", "16")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: k is limited to 15: sd^k has at least 2^k "
+                       "facets and the limit is 40320\n")
+
+    def test_k_at_the_cap(self, capsys):
+        code, out, _ = run(capsys, "verify", "cor-sd", "--n", "1", "--k", "15")
+        assert code == 0
+        assert out == "suite cor-sd: 15 cases, 0 failures\n"
 
     def test_bad_kind_list(self, capsys):
         code, _, err = run(capsys, "verify", "thm-uniform", "--kinds", "esd:x")

@@ -17,13 +17,11 @@ from subdiv.perm import (
     _check_enum,
     _check_perm,
     _counts_to_poly,
-    _sweep,
     ascents,
     bad_points,
     d_nk,
     d_nkj,
     derangement_counts,
-    descents,
     eulerian,
     fixed_points,
     foata,
@@ -35,6 +33,10 @@ P = parse_poly
 
 # Slow routes and statistics that only the tests use; each is an
 # independent count of a polynomial the library computes another way.
+
+
+def descents(w):
+    return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
 
 
 def excedances(w):
@@ -55,14 +57,24 @@ def stats(w):
     return PermStats(descents(w), ascents(w), excedances(w), fixed_points(w))
 
 
-def p_nk_via_excedance(n, k):
-    """Excedance enumerator over permutations of [n+1] sending k+1 to 1."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+def eulerian_via_descents(n):
+    """Descent enumerator over S_n."""
+    _check_enum(n)
     counts = {}
-    for (maxfix, jpos, exc), cnt in _sweep(n + 1).items():
-        if jpos == k + 1:
-            counts[exc] = counts.get(exc, 0) + cnt
+    for w in permutations(range(1, n + 1)):
+        d = descents(w)
+        counts[d] = counts.get(d, 0) + 1
+    return _counts_to_poly(counts)
+
+
+def p_nk_via_descents(n, k):
+    """Descent enumerator over permutations of [n+1] with first value k+1."""
+    _check_enum(n + 1)
+    counts = {}
+    rest = [v for v in range(1, n + 2) if v != k + 1]
+    for tail in permutations(rest):
+        d = descents((k + 1,) + tail)
+        counts[d] = counts.get(d, 0) + 1
     return _counts_to_poly(counts)
 
 
@@ -187,10 +199,10 @@ class TestEulerian:
         with pytest.raises(ValueError):
             eulerian(11)
 
-    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("n", range(9))
     def test_agrees_with_excedance_route(self, n):
-        # d_{n,0} enumerates excedances over all of S_n.
-        assert d_nk(n, 0) == eulerian(n)
+        # The library reads excedances off the sweep; the oracle counts descents.
+        assert eulerian(n) == eulerian_via_descents(n)
 
 
 class TestPnk:
@@ -203,10 +215,10 @@ class TestPnk:
         assert p_nk(n, 0) == eulerian(n)
         assert p_nk(n, n) == tuple([0] + list(eulerian(n)))
 
-    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("n", range(8))
     def test_descent_and_excedance_routes_agree(self, n):
         for k in range(n + 1):
-            assert p_nk(n, k) == p_nk_via_excedance(n, k)
+            assert p_nk(n, k) == p_nk_via_descents(n, k)
 
     def test_range_guard(self):
         with pytest.raises(ValueError):
@@ -300,11 +312,12 @@ class TestDerangements:
 
     @pytest.mark.parametrize("n", range(6))
     def test_matches_derangement_polynomial(self, n):
-        # d_{n,n} is the excedance enumerator over derangements.
+        # d_{n,n} is the excedance enumerator over derangements; the
+        # bad-point route counts it without the sweep both library reads share.
         counts = derangement_counts(n)
         from subdiv.poly import normalize
 
-        assert normalize(counts) == d_nk(n, n)
+        assert normalize(counts) == d_nk_via_bad_points(n, n)
 
 
 class TestWords:

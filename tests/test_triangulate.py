@@ -249,6 +249,12 @@ class TestRandom:
     def test_zero_steps(self):
         assert random_triangulation((1, 2, 3), 0, seed=7) == trivial((1, 2, 3))
 
+    def test_step_cap(self):
+        assert len(random_triangulation((1, 2), 64, seed=7).total.facets) == 65
+        with pytest.raises(ValueError, match=r"^random refinement is limited "
+                                             r"to 64 steps$"):
+            random_triangulation((1, 2), 65, seed=7)
+
     def test_reproducible(self):
         a = random_triangulation((1, 2, 3, 4), 5, seed=123)
         b = random_triangulation((1, 2, 3, 4), 5, seed=123)

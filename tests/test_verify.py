@@ -264,3 +264,43 @@ class TestFacetCap:
         case = verify._run_case(
             ("thm-esd", (("n", 3), ("r", -300), ("seed", 7), ("steps", 6))))
         assert case.detail == "raised ValueError: r must be a positive integer"
+
+
+class TestSimplexCap:
+    """esd:1 keeps one facet per facet, so the facet cap never trips;
+    verify refuses a base past TABLES_N_CAP vertices before building."""
+
+    @pytest.mark.parametrize("suite, params", [
+        ("prop-esdr", (("n", 9), ("r", 1))),
+        ("thm-esd", (("n", 9), ("r", 1), ("seed", 7), ("steps", 6))),
+    ], ids=["prop-esdr", "thm-esd"])
+    def test_refused_before_building(self, monkeypatch, suite, params):
+        TestFacetCap.refuse_builders(monkeypatch, TestFacetCap.BUILDERS)
+        case = verify._run_case((suite, params))
+        assert not case.ok
+        assert case.detail == ("raised ValueError: a simplex on 9 vertices "
+                               "is past the limit of 8")
+
+    def test_eight_vertices_reach_the_builder(self, monkeypatch):
+        TestFacetCap.refuse_builders(monkeypatch, TestFacetCap.BUILDERS)
+        case = verify._run_case(("prop-esdr", (("n", 8), ("r", 1))))
+        assert case.detail == ("raised AssertionError: a builder ran before "
+                               "the size check")
+
+
+class TestStepsAndKCaps:
+    def test_gamma_past_the_step_cap_fails_alone(self):
+        report = run_suite("thm-sd", ns=(2,), seeds=(64, 65), steps=100)
+        assert [c.ok for c in report.cases] == [True, False]
+        assert report.cases[1].detail == ("raised ValueError: random refinement "
+                                          "is limited to 64 steps")
+
+    def test_k_past_the_cap_is_refused_before_any_case(self, monkeypatch):
+        def refuse(item):
+            raise AssertionError("a case ran before k was checked")
+
+        monkeypatch.setattr(verify, "_run_case", refuse)
+        with pytest.raises(ValueError) as err:
+            run_suite("cor-sd", n_max=1, k_max=16)
+        assert str(err.value) == ("k is limited to 15: sd^k has at least 2^k "
+                                  "facets and the limit is 40320")
