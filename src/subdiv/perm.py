@@ -91,14 +91,19 @@ def eulerian(n: int) -> Poly:
 def p_nk(n: int, k: int) -> Poly:
     """Descent enumerator over permutations of [n+1] with first value k+1.
 
-    Read off the sweep as the excedance enumerator over permutations of
-    [n+1] with value 1 in position k+1: :func:`foata` followed by
-    reversal sends excedances to descents and the position of 1 to the
-    first value.
+    This is ``d_nkj(n, 0, k)``, but the n! tails after k+1 are n+1 times
+    fewer permutations than the sweep of S_{n+1} it would read.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return _exc_poly(n + 1, lambda maxfix, pos: pos == k + 1)
+    _check_enum(n + 1)
+    counts: dict[int, int] = {}
+    rest = [v for v in range(1, n + 2) if v != k + 1]
+    for tail in permutations(rest):
+        w = (k + 1,) + tail
+        d = sum(1 for i in range(n) if w[i] > w[i + 1])
+        counts[d] = counts.get(d, 0) + 1
+    return _counts_to_poly(counts)
 
 
 def d_nk(n: int, k: int) -> Poly:

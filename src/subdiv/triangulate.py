@@ -28,6 +28,7 @@ from .complexes import (
 # Facets of sd of the 8-vertex simplex; no sd or esd:R build may make more.
 FACETS_CAP = factorial(8)
 # Vertices of the largest simplex that tables and verify build over.
+# Past it, esd:2 verify cases within FACETS_CAP ran past 40 s (9 vertices).
 TABLES_N_CAP = 8
 # Stellar steps of one random refinement; each step lists every face.
 STEPS_CAP = 64

@@ -143,7 +143,7 @@ def _iterated_sd(n: int, k: int) -> Triangulation:
     """``iterated_sd`` of the n-vertex simplex, checked first: each sd
     multiplies the facets by n!."""
     sd = _refined_facets(trivial(range(1, n + 1)), None)
-    if sd ** min(k, FACETS_CAP.bit_length()) > FACETS_CAP:
+    if sd ** k > FACETS_CAP:
         raise ValueError(f"sd^{k} would build more than {FACETS_CAP} facets")
     return iterated_sd(range(1, n + 1), k)
 

@@ -67,17 +67,6 @@ def eulerian_via_descents(n):
     return _counts_to_poly(counts)
 
 
-def p_nk_via_descents(n, k):
-    """Descent enumerator over permutations of [n+1] with first value k+1."""
-    _check_enum(n + 1)
-    counts = {}
-    rest = [v for v in range(1, n + 2) if v != k + 1]
-    for tail in permutations(rest):
-        d = descents((k + 1,) + tail)
-        counts[d] = counts.get(d, 0) + 1
-    return _counts_to_poly(counts)
-
-
 def d_nk_via_bad_points(n, k):
     """Ascent enumerator over w in S_n whose bad points lie in [n-k]."""
     if not 0 <= k <= n:
@@ -217,8 +206,10 @@ class TestPnk:
 
     @pytest.mark.parametrize("n", range(8))
     def test_descent_and_excedance_routes_agree(self, n):
+        # The library counts descents; d_nkj(n, 0, k) reads excedances
+        # with 1 in position k+1 off the sweep of S_{n+1}.
         for k in range(n + 1):
-            assert p_nk(n, k) == p_nk_via_descents(n, k)
+            assert p_nk(n, k) == d_nkj(n, 0, k)
 
     def test_range_guard(self):
         with pytest.raises(ValueError):
