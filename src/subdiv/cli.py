@@ -46,6 +46,11 @@ FORMATS = ("text", "json", "csv")
 # Values one integer spec such as --seeds 1..20 may list.
 INT_SPEC_CAP = 10_000
 
+# Vertices one facet of an input file may have.  localh and subdivide
+# list all 2^n faces of an n-vertex simplex; ftriangle --input took
+# 1.6 s at 12 vertices and 24 s at 14.
+INPUT_FACET_CAP = 12
+
 _CONFIG_KEYS = ("prng", "max_enum_n", "format", "seed", "jobs")
 
 
@@ -130,7 +135,10 @@ def _capped_f_triangle(kind: str, n: int, what: str) -> FTriangle:
 
 
 def _load_triangulation(path: str) -> Triangulation:
-    """Read triangulation JSON; a bare complex is lifted to identity."""
+    """Read triangulation JSON; a bare complex is lifted to identity.
+
+    Inputs with a facet on more than ``INPUT_FACET_CAP`` vertices are
+    refused."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -139,8 +147,14 @@ def _load_triangulation(path: str) -> Triangulation:
     except json.JSONDecodeError as err:
         raise CliError(f"input is not valid JSON: {err}") from err
     if isinstance(obj, dict) and "facets" in obj and "carrier" not in obj:
-        return identity(complex_from_json(obj))
-    return triangulation_from_json(obj)
+        T = identity(complex_from_json(obj))
+    else:
+        T = triangulation_from_json(obj)
+    size = max((len(f) for K in (T.base, T.total) for f in K.facets), default=0)
+    if size > INPUT_FACET_CAP:
+        raise CliError(f"input has a facet on {size} vertices; "
+                       f"the limit is {INPUT_FACET_CAP}")
+    return T
 
 
 def _emit_poly(f: Poly, fmt: str, key: str = "local_h") -> None:

@@ -1,16 +1,21 @@
 """Permutation statistics and their enumerating polynomials.
 
 Permutations are tuples in one-line notation over [n], 1-indexed: w[i-1]
-is the image of i. Enumerations over S_n are capped at n <= 10 (10! is a
-few seconds of work; everything downstream needs n <= 8).
+is the image of i.
+
+The polynomial families enumerate nothing: each is an entry of one table
+of d_nkj, built from size n-1 by the row recurrences.  They keep the S_10
+bound of the enumerations that once computed them, so that which
+arguments are answered and which refused stays stable.  ``MAX_ENUM_N``
+bounds the real enumerations over S_n, which ``_check_enum`` guards (10!
+is a few seconds of work; everything downstream needs n <= 8).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 
-from .poly import Poly, normalize, power, veronese
+from .poly import Poly, add, power, shift, veronese
 
 MAX_ENUM_N = 10
 
@@ -37,80 +42,53 @@ def fixed_points(w: Perm) -> frozenset[int]:
     return frozenset(i for i, v in enumerate(w, start=1) if v == i)
 
 
-def _counts_to_poly(counts: dict[int, int]) -> Poly:
-    if not counts:
-        return ()
-    top = max(counts)
-    return normalize(counts.get(i, 0) for i in range(top + 1))
+def _split_sum(rows: tuple[Poly, ...], j: int) -> Poly:
+    """x * (rows[0] + ... + rows[j-1]) + rows[j] + ... + rows[-1]."""
+    return add(shift(add(*rows[:j]), 1), *rows[j:])
 
 
 @lru_cache(maxsize=None)
-def _sweep(m: int) -> dict[tuple[int, int, int], int]:
-    """One pass over S_m keyed by (max fixed point, position of value 1, exc).
-
-    max fixed point is 0 for fixed-point-free permutations, so the
-    constraint Fix(w) within [t] reads as maxfix <= t.
-    """
-    _check_enum(m)
-    if m == 0:
-        # The empty permutation: no fixed points, no value 1, no excedances.
-        return {(0, 0, 0): 1}
-    acc: dict[tuple[int, int, int], int] = {}
-    for w in permutations(range(1, m + 1)):
-        maxfix = 0
-        exc = 0
-        for i, v in enumerate(w, start=1):
-            if v == i:
-                maxfix = i
-            elif v > i:
-                exc += 1
-        key = (maxfix, w.index(1) + 1, exc)
-        acc[key] = acc.get(key, 0) + 1
-    return acc
-
-
-def _exc_poly(m: int, keep) -> Poly:
-    """Excedance enumerator over the w in S_m whose max fixed point and
-    position of value 1 pass ``keep(maxfix, pos)``."""
-    counts: dict[int, int] = {}
-    for (maxfix, pos, exc), cnt in _sweep(m).items():
-        if keep(maxfix, pos):
-            counts[exc] = counts.get(exc, 0) + cnt
-    return _counts_to_poly(counts)
+def _d_table(n: int) -> tuple[tuple[Poly, ...], ...]:
+    """Row k is (d_nkj(n, k, j) for j = 0..n), built from size n-1 by
+    the row recurrences, starting from d_000 = 1."""
+    if n == 0:
+        return (((1,),),)
+    prev = _d_table(n - 1)
+    table = [tuple(_split_sum(prev[k], j) if j <= n - k
+                   else add(_split_sum(prev[k], j), prev[k][j - 1])
+                   for j in range(n + 1))
+             for k in range(n)]
+    rows = prev[n - 1]
+    table.append((add(*rows[1:]),)
+                 + tuple(_split_sum(rows, j) for j in range(1, n + 1)))
+    return tuple(table)
 
 
 def eulerian(n: int) -> Poly:
     """The descent enumerator over S_n, with the empty product giving 1.
 
-    Read off the sweep as the excedance enumerator: :func:`foata`
-    followed by reversal sends excedances to descents.
+    It is d_n00: :func:`foata` followed by reversal sends excedances to
+    descents.
     """
-    return _exc_poly(n, lambda maxfix, pos: True)
+    _check_enum(n)
+    return _d_table(n)[0][0]
 
 
 def p_nk(n: int, k: int) -> Poly:
-    """Descent enumerator over permutations of [n+1] with first value k+1.
-
-    This is ``d_nkj(n, 0, k)``, but the n! tails after k+1 are n+1 times
-    fewer permutations than the sweep of S_{n+1} it would read.
-    """
+    """Descent enumerator over permutations of [n+1] with first value k+1,
+    which is ``d_nkj(n, 0, k)``."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     _check_enum(n + 1)
-    counts: dict[int, int] = {}
-    rest = [v for v in range(1, n + 2) if v != k + 1]
-    for tail in permutations(rest):
-        w = (k + 1,) + tail
-        d = sum(1 for i in range(n) if w[i] > w[i + 1])
-        counts[d] = counts.get(d, 0) + 1
-    return _counts_to_poly(counts)
+    return _d_table(n)[0][k]
 
 
 def d_nk(n: int, k: int) -> Poly:
     """Excedance enumerator over w in S_n with all fixed points in [n-k]."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return _exc_poly(n, lambda maxfix, pos: maxfix <= n - k)
+    _check_enum(n)
+    return _d_table(n)[k][0]
 
 
 def d_nkj(n: int, k: int, j: int) -> Poly:
@@ -123,7 +101,8 @@ def d_nkj(n: int, k: int, j: int) -> Poly:
     """
     if not (0 <= k <= n and 0 <= j <= n):
         raise ValueError(f"need 0 <= k, j <= n, got n={n}, k={k}, j={j}")
-    return _exc_poly(n + 1, lambda maxfix, pos: pos == j + 1 and maxfix <= n + 1 - k)
+    _check_enum(n + 1)
+    return _d_table(n)[k][j]
 
 
 def foata(w: Perm) -> Perm:
@@ -175,7 +154,8 @@ def derangement_counts(n: int) -> tuple[int, ...]:
 
     Returns (D_{n,0}, ..., D_{n,n-1}) for n >= 1 and (1,) for n = 0.
     """
-    counts = _exc_poly(n, lambda maxfix, pos: maxfix == 0)
+    _check_enum(n)
+    counts = _d_table(n)[n][0]
     # S_1 has no derangements; for n >= 2 the top count D_{n,n-1} is 1.
     return counts + (0,) * (n - len(counts))
 

@@ -29,6 +29,7 @@ from .localh import (
 from .perm import (
     E_nr,
     _check_enum,
+    _split_sum,
     ascents,
     bad_points,
     d_nk,
@@ -44,7 +45,6 @@ from .poly import (
     mul,
     power,
     reverse,
-    scale,
     shift,
     sub,
     veronese,
@@ -290,25 +290,34 @@ def _case_prop_lnkj(params: dict) -> CaseResult:
     return _result(params, problems[:4], f"all (m,k,j) with m<={size} pass")
 
 
-def _refined_bad_point_counts(n: int) -> dict[tuple[int, int, int], int]:
-    """Ascent counts of S_{n+1} bucketed by (max bad point, last value)."""
+@lru_cache(maxsize=None)
+def _refined_bad_point_counts(n: int) -> tuple[tuple[Poly, ...], ...]:
+    """d_nkj(n, k, j) for all 0 <= k, j <= n, counted afresh: ascents of
+    the w in S_{n+1} with bad points in [n+1-k] and last value j+1."""
     _check_enum(n + 1)
-    counts: dict[tuple[int, int, int], int] = {}
+    # (max bad point, last value) -> counts by ascent number
+    buckets: dict[tuple[int, int], list[int]] = {}
     for w in permutations(range(1, n + 2)):
         bad = bad_points(w)
-        key = (max(bad) if bad else 0, w[-1], ascents(w))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def _split_sum(rows: list[Poly], j: int) -> Poly:
-    """x * (rows[0] + ... + rows[j-1]) + rows[j] + ... + rows[-1]."""
-    return add(shift(add(*rows[:j]), 1), *rows[j:])
+        row = buckets.setdefault((max(bad) if bad else 0, w[-1]), [0] * (n + 1))
+        row[ascents(w)] += 1
+    return tuple(
+        tuple(add(*(c for (top, last), c in buckets.items()
+                    if top <= n + 1 - k and last == j + 1))
+              for j in range(n + 1))
+        for k in range(n + 1))
 
 
 def _case_prop_dnkj(params: dict) -> CaseResult:
     n, part = params["n"], params["part"]
     problems: list[str] = []
+    # Part c holds the library to counted tables; parts d-g test their
+    # identities on those tables, since the library's are built by the
+    # same recurrences.  Summed over j, row k of the table at n-1 counts
+    # all of S_n with bad points in [n-k]: that is d_nk.
+    if part in "cdefg":
+        D = _refined_bad_point_counts(n)
+        prev = _refined_bad_point_counts(n - 1) if n >= 1 else ()
     if part == "a":
         F = _triangle("sd", n)
         for k in range(n + 1):
@@ -321,63 +330,58 @@ def _case_prop_dnkj(params: dict) -> CaseResult:
                 if ell_mkj(F, n, k, j) != d_nkj(n, k, j):
                     problems.append(f"(k,j)=({k},{j}): ell_mkj != d_nkj")
     elif part == "c":
-        buckets = _refined_bad_point_counts(n)
         for k in range(n + 1):
             for j in range(n + 1):
-                coeffs: dict[int, int] = {}
-                for (top, last, asc), cnt in buckets.items():
-                    if top <= n + 1 - k and last == j + 1:
-                        coeffs[asc] = coeffs.get(asc, 0) + cnt
-                want = add(*(scale(shift((1,), asc), cnt) for asc, cnt in coeffs.items()))
-                if d_nkj(n, k, j) != want:
+                if d_nkj(n, k, j) != D[k][j]:
                     problems.append(f"(k,j)=({k},{j}): bad-point route differs")
     elif part == "d" and n >= 1:
         for k in range(n):
-            total = add(*(d_nkj(n - 1, k, j) for j in range(n)))
-            if not d_nkj(n, k, 0) == d_nk(n, k) == total:
+            if D[k][0] != add(*prev[k]):
                 problems.append(f"k={k}: column sum identity fails")
     elif part == "e" and n >= 1:
         for k in range(1, n + 1):
             for j in range(n + 1):
                 if j <= n - k:
-                    want = sub(d_nkj(n, k - 1, j), d_nkj(n - 1, k - 1, j))
+                    want = sub(D[k - 1][j], prev[k - 1][j])
                 elif j == n - k + 1:
-                    want = d_nkj(n, k - 1, j)
+                    want = D[k - 1][j]
                 else:
-                    want = sub(d_nkj(n, k - 1, j), d_nkj(n - 1, k - 1, j - 1))
-                if d_nkj(n, k, j) != want:
+                    want = sub(D[k - 1][j], prev[k - 1][j - 1])
+                if D[k][j] != want:
                     problems.append(f"(k,j)=({k},{j}): case recurrence fails")
     elif part == "f":
         for k in range(1, n + 1):
-            rows = [d_nkj(n - 1, k - 1, i) for i in range(n)]
             for j in range(n - k + 1, n + 1):
-                if d_nkj(n, k, j) != _split_sum(rows, j):
+                if D[k][j] != _split_sum(prev[k - 1], j):
                     problems.append(f"(k,j)=({k},{j}): split sum fails")
     elif part == "g":
         for k in range(1, n + 1):
-            if d_nkj(n, k, n) != shift(d_nk(n, k - 1), 1):
+            if D[k][n] != shift(add(*prev[k - 1]), 1):
                 problems.append(f"k={k}: top-j identity fails")
     return _result(params, problems[:4], "all indices pass")
 
 
 def _case_prop_dnkj_rec(params: dict) -> CaseResult:
     n, part = params["n"], params["part"]
+    # Counted tables: the library builds its own by these recurrences.
+    D = _refined_bad_point_counts(n)
+    prev = _refined_bad_point_counts(n - 1)
     problems: list[str] = []
     if part == "a":
         for k in range(n):
-            rows = [d_nkj(n - 1, k, i) for i in range(n)]
+            rows = prev[k]
             for j in range(n + 1):
                 want = _split_sum(rows, j)
                 if j > n - k:
                     want = add(want, rows[j - 1])
-                if d_nkj(n, k, j) != want:
+                if D[k][j] != want:
                     problems.append(f"(k,j)=({k},{j}): recurrence fails")
     elif part == "b":
-        rows = [d_nkj(n - 1, n - 1, i) for i in range(n)]
-        if d_nkj(n, n, 0) != add(*rows[1:]):
+        rows = prev[n - 1]
+        if D[n][0] != add(*rows[1:]):
             problems.append("j=0 row fails")
         for j in range(1, n + 1):
-            if d_nkj(n, n, j) != _split_sum(rows, j):
+            if D[n][j] != _split_sum(rows, j):
                 problems.append(f"j={j}: row fails")
     return _result(params, problems[:4], "all indices pass")
 

@@ -1,5 +1,6 @@
 """End-to-end command tests driven through ``main`` with captured output."""
 
+import hashlib
 import json
 import pathlib
 import re
@@ -368,6 +369,54 @@ class TestFTriangle:
         assert "exactly one" in err
 
 
+class TestInputFacetCap:
+    """Input files with a facet past 12 vertices are refused on loading,
+    before any command starts its work on them."""
+
+    ENTRIES = [["localh"], ["localh", "--emit-c"], ["ftriangle"],
+               ["subdivide", "--kind", "random:1"]]
+    COMPUTE = ("local_h", "c_coefficients", "f_triangle_of", "random_triangulation")
+
+    class Reached(Exception):
+        pass
+
+    @pytest.fixture
+    def patched(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise self.Reached
+
+        for name in self.COMPUTE:
+            monkeypatch.setattr(cli_mod, name, reached)
+
+    @staticmethod
+    def write(tmp_path, n, form):
+        verts = list(range(1, n + 1))
+        if form == "complex":
+            obj = {"vertices": verts, "facets": [verts]}
+        elif form == "triangulation":
+            obj = triangulation_to_json(trivial(verts))
+        else:  # a big total facet over a small base
+            obj = {"base": {"vertices": [1, 2, 3], "facets": [[1, 2, 3]]},
+                   "total": {"vertices": verts, "facets": [verts]},
+                   "carrier": {str(v): [1, 2, 3] for v in verts}}
+        path = tmp_path / f"{form}{n}.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    @pytest.mark.parametrize("form", ["complex", "triangulation", "total"])
+    @pytest.mark.parametrize("argv", ENTRIES)
+    def test_thirteen_vertices_refused(self, capsys, tmp_path, patched, argv, form):
+        path = self.write(tmp_path, 13, form)
+        assert run(capsys, argv[0], "--input", path, *argv[1:]) == (
+            2, "", "error: input has a facet on 13 vertices; the limit is 12\n")
+
+    @pytest.mark.parametrize("argv", ENTRIES)
+    def test_twelve_vertices_reach_the_command(self, tmp_path, patched, argv):
+        path = self.write(tmp_path, 12, "complex")
+        with pytest.raises(self.Reached):
+            main([argv[0], "--input", path, *argv[1:]])
+
+
 class TestStatPoly:
     def test_word_family(self, capsys):
         code, out, _ = run(capsys, "stat-poly", "--family", "E",
@@ -394,6 +443,43 @@ class TestStatPoly:
         code, _, err = run(capsys, "stat-poly", "--family", "d",
                            "--params", "11,0")
         assert code == 2
+
+
+def _table_argvs():
+    for which in (1, 2, 3):
+        for n in range(9):
+            for fmt in ("text", "json", "csv"):
+                yield ["tables", "--which", str(which), "--n", str(n),
+                       "--format", fmt]
+
+
+def _stat_poly_argvs():
+    # Each n from -1 to 11 with indices below, at and above the range, so
+    # values, range errors and S_11 refusals are all covered.
+    for n in range(-1, 12):
+        idx = sorted({-1, 0, n // 2, n, n + 1})
+        for k in idx:
+            for family in ("d", "p"):
+                yield ["stat-poly", "--family", family, f"--params={n},{k}"]
+            for j in idx:
+                yield ["stat-poly", "--family", "d", f"--params={n},{k},{j}"]
+
+
+class TestPermutationOutputBytes:
+    """Every table and d/p output, error paths included, pinned by digest.
+
+    The digest was taken from the S_m-sweep implementation of ``perm``
+    and must not move when the families are computed another way.
+    """
+
+    # sha256 of every (argv, exit code, stdout, stderr), in order.
+    DIGEST = "1adee06722ce5894f7f031872cc2cb11fa599d11ea071caa5cf942ea5e79a6b6"
+
+    def test_digest(self, capsys):
+        h = hashlib.sha256()
+        for argv in [*_table_argvs(), *_stat_poly_argvs()]:
+            h.update(repr((argv, *run(capsys, *argv))).encode())
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestCsvBytes:

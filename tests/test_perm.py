@@ -6,7 +6,9 @@ double as the oracle for the CLI golden files.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations, product
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from subdiv.perm import (
     E_nr,
     _check_enum,
     _check_perm,
-    _counts_to_poly,
     ascents,
     bad_points,
     d_nk,
@@ -27,7 +28,7 @@ from subdiv.perm import (
     foata,
     p_nk,
 )
-from subdiv.poly import parse_poly
+from subdiv.poly import normalize, parse_poly
 
 P = parse_poly
 
@@ -55,6 +56,58 @@ def stats(w):
     """Descent, ascent, excedance and fixed-point data of w."""
     _check_perm(w)
     return PermStats(descents(w), ascents(w), excedances(w), fixed_points(w))
+
+
+def _counts_to_poly(counts):
+    if not counts:
+        return ()
+    top = max(counts)
+    return normalize(counts.get(i, 0) for i in range(top + 1))
+
+
+@lru_cache(maxsize=None)
+def exc_sweep(m):
+    """One pass over S_m keyed by (max fixed point, position of value 1, exc).
+
+    max fixed point is 0 for fixed-point-free permutations, so the
+    constraint Fix(w) within [t] reads as maxfix <= t.
+    """
+    _check_enum(m)
+    if m == 0:
+        # The empty permutation: no fixed points, no value 1, no excedances.
+        return {(0, 0, 0): 1}
+    acc = {}
+    for w in permutations(range(1, m + 1)):
+        maxfix = 0
+        exc = 0
+        for i, v in enumerate(w, start=1):
+            if v == i:
+                maxfix = i
+            elif v > i:
+                exc += 1
+        key = (maxfix, w.index(1) + 1, exc)
+        acc[key] = acc.get(key, 0) + 1
+    return acc
+
+
+def exc_poly(m, keep):
+    """Excedance enumerator over the w in S_m whose max fixed point and
+    position of value 1 pass ``keep(maxfix, pos)``."""
+    counts = {}
+    for (maxfix, pos, exc), cnt in exc_sweep(m).items():
+        if keep(maxfix, pos):
+            counts[exc] = counts.get(exc, 0) + cnt
+    return _counts_to_poly(counts)
+
+
+def p_nk_via_tails(n, k):
+    """Descent enumerator over the n! permutations of [n+1] starting k+1."""
+    counts = {}
+    rest = [v for v in range(1, n + 2) if v != k + 1]
+    for tail in permutations(rest):
+        d = descents((k + 1,) + tail)
+        counts[d] = counts.get(d, 0) + 1
+    return _counts_to_poly(counts)
 
 
 def eulerian_via_descents(n):
@@ -190,7 +243,7 @@ class TestEulerian:
 
     @pytest.mark.parametrize("n", range(9))
     def test_agrees_with_excedance_route(self, n):
-        # The library reads excedances off the sweep; the oracle counts descents.
+        # The library builds d_n00 by recurrences; the oracle counts descents.
         assert eulerian(n) == eulerian_via_descents(n)
 
 
@@ -206,10 +259,10 @@ class TestPnk:
 
     @pytest.mark.parametrize("n", range(8))
     def test_descent_and_excedance_routes_agree(self, n):
-        # The library counts descents; d_nkj(n, 0, k) reads excedances
-        # with 1 in position k+1 off the sweep of S_{n+1}.
+        # The library reads d_n0k off the recurrence table; the oracle
+        # counts descents over the n! tails after k+1.
         for k in range(n + 1):
-            assert p_nk(n, k) == d_nkj(n, 0, k)
+            assert p_nk(n, k) == p_nk_via_tails(n, k)
 
     def test_range_guard(self):
         with pytest.raises(ValueError):
@@ -304,11 +357,8 @@ class TestDerangements:
     @pytest.mark.parametrize("n", range(6))
     def test_matches_derangement_polynomial(self, n):
         # d_{n,n} is the excedance enumerator over derangements; the
-        # bad-point route counts it without the sweep both library reads share.
-        counts = derangement_counts(n)
-        from subdiv.poly import normalize
-
-        assert normalize(counts) == d_nk_via_bad_points(n, n)
+        # bad-point route counts it without the table both library reads share.
+        assert normalize(derangement_counts(n)) == d_nk_via_bad_points(n, n)
 
 
 class TestWords:
@@ -341,3 +391,57 @@ class TestWords:
             E_nr(0, 2)
         with pytest.raises(ValueError):
             E_nr(2, 0)
+
+
+class TestRecurrenceTableAgainstSweep:
+    """Every family the table serves, against the excedance sweep."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_families_match_the_sweep(self, n):
+        assert eulerian(n) == exc_poly(n, lambda maxfix, pos: True)
+        counts = exc_poly(n, lambda maxfix, pos: maxfix == 0)
+        assert derangement_counts(n) == counts + (0,) * (n - len(counts))
+        for k in range(n + 1):
+            assert d_nk(n, k) == exc_poly(n, lambda maxfix, pos: maxfix <= n - k)
+            assert p_nk(n, k) == exc_poly(n + 1, lambda maxfix, pos: pos == k + 1)
+            for j in range(n + 1):
+                assert d_nkj(n, k, j) == exc_poly(
+                    n + 1, lambda maxfix, pos: pos == j + 1 and maxfix <= n + 1 - k)
+
+
+class TestEnumerationBoundParity:
+    """The families enumerate nothing but answer and refuse exactly as
+    the enumerations that computed them did."""
+
+    S11 = "enumeration over S_11 exceeds the desk-scale bound 10"
+
+    def refused(self, fn, *args):
+        with pytest.raises(ValueError) as err:
+            fn(*args)
+        return str(err.value)
+
+    def test_size_ten_answers(self):
+        assert eulerian(10) == (1, 1013, 47840, 455192, 1310354,
+                                1310354, 455192, 47840, 1013, 1)
+        for k in range(11):
+            # Permutations of [10] with no fixed point among the last k.
+            want = sum((-1) ** i * comb(k, i) * factorial(10 - i)
+                       for i in range(k + 1))
+            assert sum(d_nk(10, k)) == want
+        assert sum(d_nk(10, 0)) == factorial(10)
+        counts = derangement_counts(10)
+        assert len(counts) == 10 and sum(counts) == 1_334_961
+
+    def test_past_the_bound_refuses(self):
+        for k in (0, 5, 10):
+            assert self.refused(p_nk, 10, k) == self.S11
+            assert self.refused(d_nk, 11, k) == self.S11
+            for j in (0, 10):
+                assert self.refused(d_nkj, 10, k, j) == self.S11
+        assert self.refused(eulerian, 11) == self.S11
+
+    def test_range_is_checked_first(self):
+        assert self.refused(d_nkj, 11, 12, 0) == (
+            "need 0 <= k, j <= n, got n=11, k=12, j=0")
+        assert self.refused(p_nk, 11, 12) == "need 0 <= k <= n, got k=12, n=11"
+        assert self.refused(d_nk, 11, 12) == "need 0 <= k <= n, got k=12, n=11"

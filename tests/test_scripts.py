@@ -1,5 +1,6 @@
 """The maintenance scripts still run against the package's public API."""
 
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -23,3 +24,16 @@ def test_script_exits_zero(script, args):
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_make_goldens_reproduces_the_committed_files(monkeypatch, tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "make_goldens", ROOT / "scripts" / "make_goldens.py")
+    make_goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_goldens)
+    monkeypatch.setattr(make_goldens, "GOLDEN", tmp_path)
+    make_goldens.run()
+    for which in (1, 2, 3):
+        name = f"table{which}.txt"
+        committed = ROOT / "tests" / "golden" / name
+        assert (tmp_path / name).read_bytes() == committed.read_bytes()

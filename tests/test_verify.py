@@ -204,6 +204,40 @@ class TestEnumerationCap:
                                "exceeds the desk-scale bound 10")
 
 
+class TestDnkjSuitesStayIndependent:
+    """Only prop-dnkj parts a-c read the library's d_nkj; the identities
+    of parts d-g and of prop-dnkj-rec are tested on counted tables,
+    because the library builds its table by the same recurrences."""
+
+    # A wrong d_{4,1,2} would show at n = 4, and at n = 5 as a row of size n-1.
+    CASES = [(suite, (("n", n), ("part", p)))
+             for suite, parts in (("prop-dnkj", "defg"), ("prop-dnkj-rec", "ab"))
+             for n in (4, 5) for p in parts]
+
+    @staticmethod
+    def perturb(monkeypatch):
+        real = verify.d_nkj
+
+        def wrong(n, k, j):
+            f = real(n, k, j)
+            return f + (1,) if (n, k, j) == (4, 1, 2) else f
+
+        monkeypatch.setattr(verify, "d_nkj", wrong)
+
+    def test_part_c_sees_a_wrong_entry(self, monkeypatch):
+        assert verify._case_prop_dnkj({"n": 4, "part": "c"}).ok
+        self.perturb(monkeypatch)
+        case = verify._case_prop_dnkj({"n": 4, "part": "c"})
+        assert not case.ok
+        assert case.detail == "(k,j)=(1,2): bad-point route differs"
+
+    def test_identity_parts_do_not_read_the_library(self, monkeypatch):
+        before = [verify._run_case(item) for item in self.CASES]
+        assert all(case.ok for case in before)
+        self.perturb(monkeypatch)
+        assert [verify._run_case(item) for item in self.CASES] == before
+
+
 class TestFacetCap:
     """verify refuses builds past FACETS_CAP facets, as the CLI does,
     before any builder runs."""
