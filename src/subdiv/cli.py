@@ -28,6 +28,7 @@ from .triangulate import (
     NotUniformError,
     Triangulation,
     UnknownKindError,
+    _check_input_facets,
     _refined_facets,
     f_triangle,
     f_triangle_of,
@@ -45,11 +46,6 @@ FORMATS = ("text", "json", "csv")
 
 # Values one integer spec such as --seeds 1..20 may list.
 INT_SPEC_CAP = 10_000
-
-# Vertices one facet of an input file may have.  localh and subdivide
-# list all 2^n faces of an n-vertex simplex; ftriangle --input took
-# 1.6 s at 12 vertices and 24 s at 14.
-INPUT_FACET_CAP = 12
 
 _CONFIG_KEYS = ("prng", "max_enum_n", "format", "seed", "jobs")
 
@@ -138,7 +134,7 @@ def _load_triangulation(path: str) -> Triangulation:
     """Read triangulation JSON; a bare complex is lifted to identity.
 
     Inputs with a facet on more than ``INPUT_FACET_CAP`` vertices are
-    refused."""
+    refused before anything else is checked against their faces."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -147,14 +143,10 @@ def _load_triangulation(path: str) -> Triangulation:
     except json.JSONDecodeError as err:
         raise CliError(f"input is not valid JSON: {err}") from err
     if isinstance(obj, dict) and "facets" in obj and "carrier" not in obj:
-        T = identity(complex_from_json(obj))
-    else:
-        T = triangulation_from_json(obj)
-    size = max((len(f) for K in (T.base, T.total) for f in K.facets), default=0)
-    if size > INPUT_FACET_CAP:
-        raise CliError(f"input has a facet on {size} vertices; "
-                       f"the limit is {INPUT_FACET_CAP}")
-    return T
+        K = complex_from_json(obj)
+        _check_input_facets(K)
+        return identity(K)
+    return triangulation_from_json(obj)
 
 
 def _emit_poly(f: Poly, fmt: str, key: str = "local_h") -> None:

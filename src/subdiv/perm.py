@@ -14,8 +14,9 @@ is a few seconds of work; everything downstream needs n <= 8).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
-from .poly import Poly, add, power, shift, veronese
+from .poly import Poly, add, shift, veronese
 
 MAX_ENUM_N = 10
 
@@ -165,8 +166,20 @@ def E_nr(n: int, r: int) -> Poly:
     n vertices, computed as a Veronese section of ``(1+x+...+x^(r-1))^n``.
 
     It equals the ascent enumerator of the words {0..n-1} -> {0..r-1}
-    with first letter 0.
+    with first letter 0.  Each factor 1+x+...+x^(r-1) turns a coefficient
+    list into its sums over windows of r, read off prefix sums, so the
+    power costs O(n^2 r) rather than the O(n^2 r^2) of repeated ``mul``.
+
+    ``f_triangle`` reads the esd:R face counts off these polynomials;
+    verify's edgewise suites build their triangles instead, so that the
+    formulas they test are not compared with themselves.
     """
     if n < 1 or r < 1:
         raise ValueError("need n >= 1 and r >= 1")
-    return veronese(power((1,) * r, n), r, 0)
+    coeffs = [1]
+    for _ in range(n):
+        prefix = list(accumulate(coeffs, initial=0))
+        m = len(coeffs)
+        coeffs = [prefix[min(i + 1, m)] - prefix[max(i + 1 - r, 0)]
+                  for i in range(m + r - 1)]
+    return veronese(coeffs, r, 0)

@@ -19,7 +19,6 @@ Poly = tuple[Coeff, ...]
 
 ZERO: Poly = ()
 ONE: Poly = (1,)
-X: Poly = (0, 1)
 
 
 class PolyParseError(ValueError):
@@ -124,21 +123,6 @@ def veronese(f: Sequence[Coeff], r: int, i: int) -> Poly:
     return normalize(f[i::r])
 
 
-def veronese_shift_identity_holds(f: Sequence[Coeff], r: int, i: int, j: int) -> bool:
-    """Check S^r_i(x^j f) against its section-shuffle expansion.
-
-    The expansion moves the x^j factor into the section index: the result
-    is S^r_{i-j}(f) when i >= j and x * S^r_{r-j+i}(f) otherwise. Exposed
-    as a test helper.
-    """
-    lhs = veronese(shift(f, j), r, i)
-    if i >= j:
-        rhs = veronese(f, r, i - j)
-    else:
-        rhs = shift(veronese(f, r, r - j + i), 1)
-    return lhs == rhs
-
-
 def is_symmetric(f: Sequence[Coeff], n: int) -> bool:
     """True iff the coefficient of x^i equals that of x^(n-i) for all i."""
     f = normalize(f)
@@ -167,17 +151,6 @@ def gamma_vector(f: Sequence[Coeff], n: int) -> tuple[Coeff, ...]:
     if rem != ZERO:
         raise NotSymmetricError("gamma elimination left a nonzero remainder")
     return tuple(gammas)
-
-
-def is_unimodal(f: Sequence[Coeff]) -> bool:
-    """True iff the coefficient sequence weakly rises then weakly falls."""
-    falling = False
-    for prev, cur in zip(f, f[1:]):
-        if cur < prev:
-            falling = True
-        elif cur > prev and falling:
-            return False
-    return True
 
 
 _TERM = re.compile(r"([+-]?)(\d+)?(?:\*?(x)(?:\^(\d+))?)?$")
@@ -236,20 +209,6 @@ def format_poly(f: Sequence[Coeff]) -> str:
 def poly_to_json(f: Sequence[Coeff]) -> list[str]:
     """JSON form: the coefficient array as decimal strings."""
     return [str(c) for c in normalize(f)]
-
-
-def poly_from_json(obj: object) -> Poly:
-    if not isinstance(obj, list):
-        raise ValueError("polynomial JSON must be an array of decimal strings")
-    out = []
-    for k, item in enumerate(obj):
-        if isinstance(item, bool) or not isinstance(item, (int, str)):
-            raise ValueError(f"coefficient {k} must be an integer or decimal string")
-        try:
-            out.append(int(item))
-        except ValueError:
-            raise ValueError(f"coefficient {k} is not a decimal integer: {item!r}")
-    return normalize(out)
 
 
 def binom(n: int, k: int) -> int:

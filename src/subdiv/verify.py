@@ -59,6 +59,7 @@ from .triangulate import (
     barycentric,
     edgewise,
     f_triangle,
+    f_triangle_of,
     iterated_sd,
     parse_kind,
     random_triangulation,
@@ -108,12 +109,15 @@ class VerifySuiteReport:
         return not self.failures
 
 
-# A def, not lru_cache(f_triangle): the call must go through the module
-# global so that a wrapper installed there by a tracer sees it.
+# Built and counted, not read off f_triangle: prop-lnkj, prop-dnkj parts
+# a and b and prop-esdr test formulas about the triangle, and the library
+# reads it off the very h-polynomials those formulas give (prop-esdr's
+# k = 0 check would compare a Veronese section with itself).
 @lru_cache(maxsize=None)
 def _triangle(kind: str, n: int) -> FTriangle:
-    _refuse_big(trivial(range(1, n + 1)), parse_kind(kind))
-    return f_triangle(kind, n)
+    T = trivial(range(1, n + 1))
+    _refuse_big(T, parse_kind(kind))
+    return f_triangle_of(refine(T, kind))
 
 
 def _refuse_big(T: Triangulation, r: int | None) -> None:
@@ -215,7 +219,7 @@ def _case_thm_uniform(params: dict) -> CaseResult:
     T = refine(G, kind)
     problems: list[str] = []
     direct = _structural(T, n, problems)
-    expanded = local_h_via_uniform(_triangle(kind, n), c_coefficients(G))
+    expanded = local_h_via_uniform(f_triangle(kind, n), c_coefficients(G))
     if direct != expanded:
         problems.append(
             f"direct {format_poly(direct)} != expansion {format_poly(expanded)}")

@@ -9,6 +9,7 @@ import pytest
 
 from subdiv import cli as cli_mod
 from subdiv.cli import main
+from subdiv.complexes import SimplicialComplex
 from subdiv.localh import second_sd_local_h
 from subdiv.poly import format_poly
 from subdiv.triangulate import (
@@ -411,6 +412,19 @@ class TestInputFacetCap:
             2, "", "error: input has a facet on 13 vertices; the limit is 12\n")
 
     @pytest.mark.parametrize("argv", ENTRIES)
+    def test_big_base_refused_before_its_faces(self, capsys, monkeypatch,
+                                               tmp_path, patched, argv):
+        # Checking a carrier against the base lists its 2^18 faces.
+        path = self.write(tmp_path, 18, "triangulation")
+
+        def listed(K):
+            raise AssertionError("faces listed before the size check")
+
+        monkeypatch.setattr(SimplicialComplex, "faces", listed)
+        assert run(capsys, argv[0], "--input", path, *argv[1:]) == (
+            2, "", "error: input has a facet on 18 vertices; the limit is 12\n")
+
+    @pytest.mark.parametrize("argv", ENTRIES)
     def test_twelve_vertices_reach_the_command(self, tmp_path, patched, argv):
         path = self.write(tmp_path, 12, "complex")
         with pytest.raises(self.Reached):
@@ -478,6 +492,40 @@ class TestPermutationOutputBytes:
     def test_digest(self, capsys):
         h = hashlib.sha256()
         for argv in [*_table_argvs(), *_stat_poly_argvs()]:
+            h.update(repr((argv, *run(capsys, *argv))).encode())
+        assert h.hexdigest() == self.DIGEST
+
+
+def _face_triangle_argvs():
+    # Every kind spelling, n below, inside and at the top of the range,
+    # in each format, then the two cap refusals and the word family
+    # E_{n,r} with its guards.
+    kinds = ["trivial", "sd", *(f"esd:{r}" for r in range(5)), "esd:x", "bogus"]
+    for kind in kinds:
+        for n in range(-1, 8):
+            for fmt in ("text", "json", "csv"):
+                yield ["ftriangle", "--kind", kind, f"--n={n}", "--format", fmt]
+    yield ["ftriangle", "--kind", "sd", "--n", "9"]
+    yield ["ftriangle", "--kind", "esd:201", "--n", "3"]
+    for n in range(-1, 9):
+        for r in range(-1, 9):
+            yield ["stat-poly", "--family", "E", f"--params={n},{r}"]
+
+
+class TestFaceTriangleOutputBytes:
+    """Every ``ftriangle --kind`` and E_{n,r} output, errors included.
+
+    The digest was taken when ``f_triangle`` counted the faces of the
+    subdivision it built, and must not move when the rows are read off
+    h-polynomials instead.
+    """
+
+    # sha256 of every (argv, exit code, stdout, stderr), in order.
+    DIGEST = "71ca8371479af987b9417aa2d17f392e2f18f72c79cd9df2e954d39f133640b2"
+
+    def test_digest(self, capsys):
+        h = hashlib.sha256()
+        for argv in _face_triangle_argvs():
             h.update(repr((argv, *run(capsys, *argv))).encode())
         assert h.hexdigest() == self.DIGEST
 

@@ -28,7 +28,7 @@ from subdiv.perm import (
     foata,
     p_nk,
 )
-from subdiv.poly import normalize, parse_poly
+from subdiv.poly import normalize, parse_poly, power, veronese
 
 P = parse_poly
 
@@ -385,6 +385,15 @@ class TestWords:
     def test_E_routes_agree(self, n):
         for r in range(1, 7):
             assert e_nr_words(n, r) == E_nr(n, r)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_E_matches_power_section(self, n):
+        for r in range(1, 11):
+            assert E_nr(n, r) == veronese(power((1,) * r, n), r, 0)
+
+    @pytest.mark.parametrize("n, r", [(3, 200), (2, 2000)])
+    def test_E_matches_power_section_at_large_r(self, n, r):
+        assert E_nr(n, r) == veronese(power((1,) * r, n), r, 0)
 
     def test_guards(self):
         with pytest.raises(ValueError):

@@ -22,18 +22,29 @@ from subdiv.poly import (
     format_poly,
     gamma_vector,
     is_symmetric,
-    is_unimodal,
     mul,
     normalize,
     parse_poly,
-    poly_from_json,
     poly_to_json,
     power,
     reverse,
     shift,
     veronese,
-    veronese_shift_identity_holds,
 )
+
+
+def veronese_shift_identity_holds(f, r: int, i: int, j: int) -> bool:
+    """Check S^r_i(x^j f) against its section-shuffle expansion.
+
+    The expansion moves the x^j factor into the section index: the result
+    is S^r_{i-j}(f) when i >= j and x * S^r_{r-j+i}(f) otherwise.
+    """
+    lhs = veronese(shift(f, j), r, i)
+    if i >= j:
+        rhs = veronese(f, r, i - j)
+    else:
+        rhs = shift(veronese(f, r, r - j + i), 1)
+    return lhs == rhs
 
 
 class TestArithmetic:
@@ -214,12 +225,6 @@ class TestSymmetryGamma:
         want = tuple(gammas) + (0,) * (n // 2 + 1 - len(gammas))
         assert got == want
 
-    def test_unimodal(self):
-        assert is_unimodal((1, 4, 1))
-        assert is_unimodal((0, 7, 42, 63, 42, 7))
-        assert is_unimodal(())
-        assert not is_unimodal((1, 0, 1))
-
 
 class TestEval:
     def test_coefficient_sum(self):
@@ -282,19 +287,9 @@ class TestJson:
     def test_to_json_decimal_strings(self):
         assert poly_to_json((0, 7, 42)) == ["0", "7", "42"]
 
-    def test_from_json_accepts_ints_and_strings(self):
-        assert poly_from_json(["0", "7", "42"]) == (0, 7, 42)
-        assert poly_from_json([0, 7, 42]) == (0, 7, 42)
-
-    def test_from_json_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            poly_from_json(["1.5"])
-        with pytest.raises(ValueError):
-            poly_from_json("101")
-
     @given(polys(min_coeff=-50, max_coeff=50))
     def test_roundtrip(self, f):
-        assert poly_from_json(poly_to_json(f)) == f
+        assert tuple(int(c) for c in poly_to_json(f)) == f
 
 
 def test_derivative():

@@ -173,16 +173,6 @@ class TestEdgewise:
         T = edgewise(trivial((1, 2, 3)), 1)
         assert T.total.f_vector() == (1, 3, 3, 1)
 
-    def test_order_changes_complex_not_f_vector(self):
-        base = trivial((1, 2, 3, 4))
-        a = edgewise(base, 3, order=(1, 2, 3, 4))
-        b = edgewise(base, 3, order=(4, 2, 1, 3))
-        assert a.total.f_vector() == b.total.f_vector()
-
-    def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            edgewise(trivial((1, 2)), 2, order=(1, 1))
-
     def test_applies_to_subdivided_complex(self):
         T = edgewise(stellar(trivial((1, 2, 3)), (1, 2, 3)), 2)
         assert T.base == full_simplex((1, 2, 3))
@@ -325,6 +315,39 @@ class TestFTriangle:
     def test_old_kind_names_are_gone(self):
         with pytest.raises(ValueError, match="unknown subdivision kind 'barycentric'"):
             f_triangle("barycentric", 3)
+
+
+def built_f_triangle(kind, n):
+    """The oracle for ``f_triangle``: count the faces of the refined simplex."""
+    base = trivial(range(1, n + 1))
+    return f_triangle_of(base if kind == "trivial" else refine(base, kind))
+
+
+class TestFTriangleAgainstBuilt:
+    """``f_triangle`` reads each row off an h-polynomial; the face counts
+    of the built subdivision are its oracle."""
+
+    @pytest.mark.parametrize("kind, n", [
+        *((kind, n) for kind in ("trivial", "sd", "esd:1", "esd:2", "esd:3",
+                                 "esd:4") for n in range(7)),
+        ("sd", 7),
+        # The largest esd:R that ftriangle accepts at n = 2 and n = 3.
+        pytest.param("esd:40320", 2, marks=pytest.mark.slow),
+        pytest.param("esd:200", 3, marks=pytest.mark.slow),
+    ])
+    def test_agrees_with_built(self, kind, n):
+        assert f_triangle(kind, n) == built_f_triangle(kind, n)
+
+    @pytest.mark.parametrize("kind", ["trivial", "sd", "esd:3"])
+    def test_builds_nothing(self, monkeypatch, kind):
+        want = built_f_triangle(kind, 5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("f_triangle built a subdivision")
+
+        for name in ("trivial", "barycentric", "edgewise", "refine", "f_triangle_of"):
+            monkeypatch.setattr(triangulate_mod, name, refuse)
+        assert f_triangle(kind, 5) == want
 
 
 class TestKinds:
@@ -617,8 +640,7 @@ class TestTrustedBuilders:
 
     @pytest.mark.parametrize("T", [
         edgewise(trivial((1, 2, 3)), 2),
-        edgewise(stellar(trivial((1, 2, 3)), (1, 2)), 3, order=(4, 3, 1, 2)),
-    ], ids=["default-order", "reordered"])
+    ], ids=["default-order"])
     def test_edgewise(self, T):
         again = from_facets(T.total.facets, T.total.labels)
         assert (T.total.facets, T.total.labels) == (again.facets, again.labels)

@@ -3,7 +3,13 @@
 import pytest
 
 from subdiv import verify
-from subdiv.triangulate import Triangulation, barycentric, iterated_sd, trivial
+from subdiv.triangulate import (
+    FTriangle,
+    Triangulation,
+    barycentric,
+    iterated_sd,
+    trivial,
+)
 from subdiv.verify import CaseResult, VerifySuiteReport, run_suite
 
 SMALL = {
@@ -236,6 +242,45 @@ class TestDnkjSuitesStayIndependent:
         assert all(case.ok for case in before)
         self.perturb(monkeypatch)
         assert [verify._run_case(item) for item in self.CASES] == before
+
+
+class TestTriangleSuitesStayIndependent:
+    """prop-lnkj, prop-dnkj parts a and b and prop-esdr test formulas about
+    the face triangle, so they count it on a built subdivision; only
+    thm-uniform's expansion side reads the library's ``f_triangle``."""
+
+    FORMULA_CASES = (
+        [("prop-lnkj", (("kind", kind), ("part", p), ("size", 4)))
+         for kind in ("sd", "esd:2") for p in "abcdef"]
+        + [("prop-dnkj", (("n", 4), ("part", p))) for p in "ab"]
+        + [("prop-esdr", (("n", 3), ("r", r))) for r in (1, 2, 3)])
+    UNIFORM_CASE = ("thm-uniform",
+                    (("kind", "sd"), ("n", 3), ("seed", 1), ("steps", 6)))
+
+    @staticmethod
+    def perturb(monkeypatch):
+        real = verify.f_triangle
+
+        def wrong(kind, n):
+            F = real(kind, n)
+            top = F.rows[-1]
+            return FTriangle(n, F.rows[:-1] + (top[:-1] + (top[-1] + 1,),))
+
+        monkeypatch.setattr(verify, "f_triangle", wrong)
+        verify._triangle.cache_clear()
+
+    def test_formula_suites_do_not_read_the_library(self, monkeypatch):
+        before = [verify._run_case(item) for item in self.FORMULA_CASES]
+        assert all(case.ok for case in before)
+        self.perturb(monkeypatch)
+        assert [verify._run_case(item) for item in self.FORMULA_CASES] == before
+
+    def test_uniform_expansion_reads_the_library(self, monkeypatch):
+        assert verify._run_case(self.UNIFORM_CASE).ok
+        self.perturb(monkeypatch)
+        case = verify._run_case(self.UNIFORM_CASE)
+        assert not case.ok
+        assert "!= expansion" in case.detail
 
 
 class TestFacetCap:
