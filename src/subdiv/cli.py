@@ -18,7 +18,7 @@ import sys
 from . import verify as verify_mod
 from .complexes import SchemaError, complex_from_json
 from .localh import c_coefficients, local_h, local_h_via_uniform
-from .perm import MAX_ENUM_N, E_nr, d_nk, d_nkj, p_nk
+from .perm import E_NR_BUDGET, MAX_ENUM_N, E_nr, d_nk, d_nkj, p_nk
 from .poly import Poly, PolyParseError, format_poly, parse_poly, poly_to_json
 from .realroot import interlace_report
 from .triangulate import (
@@ -466,19 +466,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("d", "p", "E"), required=True)
     p.add_argument("--params", required=True,
                    help="comma-separated indices: d takes n,k or n,k,j; "
-                        "p takes n,k; E takes n,r")
+                        "p takes n,k; E takes n,r with n^2 (r-1) <= "
+                        f"{E_NR_BUDGET}")
     p.set_defaults(handler=cmd_stat_poly)
 
     p = sub.add_parser("verify", parents=[common],
                        help="run one verification suite")
     p.add_argument("suite", choices=verify_mod.SUITE_NAMES)
     p.add_argument("--n", default=None,
-                   help="n values, e.g. '4' or '2,3,4' or '2..4'")
+                   help="n values, e.g. '4' or '2,3,4' or '2..4'; the range "
+                        "suites thm-dnkj, cor-2sd and prop-dnkj run n = "
+                        "0..max(N), and cor-sd, prop-dnkj-rec, prop-esdr and "
+                        "foata run n = 1..max(N); a run lists at most "
+                        f"{verify_mod.CASE_CAP} cases")
     p.add_argument("--seeds", default=None, help="seed list, e.g. '1..20'")
     p.add_argument("--steps", type=int, default=None,
                    help="cap on random refinement steps (step count is "
                         "seed mod cap+1)")
-    p.add_argument("--r", default=None, help="edgewise parameters, e.g. '2,3'")
+    p.add_argument("--r", default=None,
+                   help="edgewise parameters, e.g. '2,3'; prop-esdr runs "
+                        "r = 1..max(R); E_nr(n, r) is refused past "
+                        f"n^2 (r-1) = {E_NR_BUDGET}")
     p.add_argument("--kinds", default=None,
                    help="refinement kinds, e.g. 'sd,esd:2,esd:3'")
     p.add_argument("--k", type=int, default=None,

@@ -1,19 +1,22 @@
 """Exact certificates for real-rootedness and interlacing.
 
-Everything here runs over exact rational arithmetic on signed remainder
-sequences with content-stripped integer entries.  The signed remainder
-sequence is the only gcd routine: its last entry is the gcd of its two
-inputs up to a constant.  Yes/no answers are certified by one sign
-count at +-infinity each, which reads only leading coefficients and
-degrees: ``f`` is real-rooted when the Sturm count of distinct real
-roots reaches ``deg f - deg gcd(f, f')``, and ``f`` interlaces ``g``
-when the Cauchy index of ``f/g`` reaches ``deg g - deg gcd(f, g)`` (the
-Hermite-Kakeya-Obreschkoff criterion).  Root isolation (Yun's
-squarefree decomposition for multiplicities, and bisection only down to
-isolating intervals whose endpoints are certified non-roots) serves
-``isolate_roots`` and the evidence of ``interlace_report``, which the
-CLI prints with ``--explain``.  No floating point is involved, so a
-``True`` answer is a proof, not an estimate.
+A polynomial's rational coefficients are cleared once, where it enters;
+signed remainder sequences (sign-correct pseudo-remainders, stripped of
+content), Yun's squarefree decomposition and root deflation then run in
+integers, and ``Fraction`` appears only as bisection points and root
+bounds.  The signed remainder sequence is the only gcd routine: its
+last entry is the gcd of its two inputs up to a constant.  Yes/no
+answers are certified by one sign count at +-infinity each, which reads
+only leading coefficients and degrees: ``f`` is real-rooted when the
+Sturm count of distinct real roots reaches ``deg f - deg gcd(f, f')``,
+and ``f`` interlaces ``g`` when the Cauchy index of ``f/g`` reaches
+``deg g - deg gcd(f, g)`` (the Hermite-Kakeya-Obreschkoff criterion).
+Root isolation (Yun's squarefree decomposition for multiplicities, and
+bisection only down to isolating intervals whose endpoints are
+certified non-roots) serves ``isolate_roots`` and the evidence of
+``interlace_report``, which the CLI prints with ``--explain``.  No
+floating point is involved, so a ``True`` answer is a proof, not an
+estimate.
 
 Interlacing follows the weak-alternation convention: ``f`` interlaces
 ``g`` when both are real-rooted, ``deg g - 1 <= deg f <= deg g``, and
@@ -37,55 +40,66 @@ from .poly import Poly, degree, derivative, eval_at, normalize, sub
 _SCAN_LIMIT = 64  # integer root candidates probed before bisection
 
 
-def _to_fractions(f: Poly) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in f)
+def _strip(f) -> Poly:
+    """Divide integer coefficients by their positive content."""
+    content = math.gcd(*f)
+    return tuple(c // content for c in f)
 
 
 def _int_primitive(f: Poly) -> Poly:
     """Clear denominators and strip content, keeping the sign."""
-    if not f:
-        return ()
-    fr = _to_fractions(f)
-    scale = math.lcm(*(c.denominator for c in fr))
-    ints = [int(c * scale) for c in fr]
-    content = math.gcd(*(abs(c) for c in ints))
-    return tuple(c // content for c in ints)
+    scale = math.lcm(*(c.denominator for c in f))
+    return _strip([c.numerator * (scale // c.denominator) for c in f])
 
 
 def _pos_primitive(f: Poly) -> Poly:
     g = _int_primitive(f)
-    if g and g[-1] < 0:
-        g = tuple(-c for c in g)
-    return g
+    return tuple(-c for c in g) if g and g[-1] < 0 else g
 
 
-def _divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(c) for c in f]
-    glead = Fraction(g[-1])
-    dg = len(g) - 1
-    q = [Fraction(0)] * max(0, len(r) - dg)
-    while len(r) > dg:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        k = len(r) - 1 - dg
-        coef = r[-1] / glead
-        q[k] = coef
-        for i in range(dg):
-            r[k + i] -= coef * Fraction(g[i])
-        r.pop()
+def _pseudo_remainder(a: Poly, b: Poly) -> list[int]:
+    """A positive multiple of the remainder of ``a`` by ``b``, in integers.
+
+    Each step scales by a divisor of ``|lc b|`` rather than by ``lc b``,
+    so the factor is positive and every sign of the remainder is kept.
+    """
+    r = list(a)
+    lead, db = b[-1], len(b) - 1
+    while len(r) > db:
+        c = r.pop()
+        if c:
+            g = math.gcd(c, lead)
+            s, t = abs(lead) // g, (c if lead > 0 else -c) // g
+            if s != 1:
+                r = [s * x for x in r]
+            k = len(r) - db
+            for i in range(db):
+                r[k + i] -= t * b[i]
     while r and r[-1] == 0:
         r.pop()
-    return normalize(q), normalize(r)
+    return r
 
 
-def _div_exact(f: Poly, g: Poly) -> Poly:
-    q, r = _divmod(f, g)
-    if r:
+def _exact_quotient(f: Poly, g: Poly) -> Poly:
+    """``f / g`` for an integer ``f`` and a primitive integer ``g``.
+
+    By Gauss's lemma the quotient of an exact division has integer
+    coefficients; a nonzero remainder raises ``ArithmeticError``.
+    """
+    r = list(f)
+    lead, dg = g[-1], len(g) - 1
+    q = [0] * max(0, len(r) - dg)
+    while len(r) > dg:
+        c, rest = divmod(r.pop(), lead)
+        if rest:
+            raise ArithmeticError("division was expected to be exact")
+        k = len(r) - dg
+        q[k] = c
+        for i in range(dg):
+            r[k + i] -= c * g[i]
+    if any(r):
         raise ArithmeticError("division was expected to be exact")
-    return q
+    return tuple(q)
 
 
 def yun_decomposition(f: Poly) -> list[tuple[Poly, int]]:
@@ -101,19 +115,17 @@ def yun_decomposition(f: Poly) -> list[tuple[Poly, int]]:
         raise ValueError("cannot decompose the zero polynomial")
     if degree(f) == 0:
         return []
-    fr = _to_fractions(f)
     g = sturm_chain(f)[-1]
-    if degree(g) == 0:
-        return [(_pos_primitive(fr), 1)]
-    b = _div_exact(fr, g)
-    d = sub(_div_exact(derivative(fr), g), derivative(b))
+    f = _int_primitive(f)
+    b = _exact_quotient(f, g)
+    d = sub(_exact_quotient(derivative(f), g), derivative(b))
     out: list[tuple[Poly, int]] = []
     i = 1
     while degree(b) > 0:
         a = _remainder_sequence(b, d)[-1]
         if degree(a) > 0:
             out.append((_pos_primitive(a), i))
-        b, c = _div_exact(b, a), _div_exact(d, a)
+        b, c = _exact_quotient(b, a), _exact_quotient(d, a)
         d = sub(c, derivative(b))
         i += 1
     return out
@@ -129,16 +141,15 @@ def _remainder_sequence(a: Poly, b: Poly) -> tuple[Poly, ...]:
     b = _int_primitive(b)
     while b:
         chain.append(b)
-        rem = _divmod(chain[-2], chain[-1])[1]
-        b = _int_primitive(tuple(-c for c in rem))
+        b = _strip([-c for c in _pseudo_remainder(chain[-2], b)])
     return tuple(chain)
 
 
 @lru_cache(maxsize=8192)
 def sturm_chain(f: Poly) -> tuple[Poly, ...]:
     """Signed remainder chain of ``f``, content-stripped at each step."""
-    p0 = _int_primitive(normalize(f))
-    return _remainder_sequence(p0, derivative(p0))
+    f = normalize(f)
+    return _remainder_sequence(f, derivative(f))
 
 
 def _variations(values) -> int:
@@ -176,20 +187,17 @@ def cauchy_bound(f: Poly) -> Fraction:
     f = normalize(f)
     if degree(f) < 1:
         return Fraction(1)
-    fr = _to_fractions(f)
-    return 1 + max(abs(c) for c in fr[:-1]) / abs(fr[-1])
+    return 1 + Fraction(max(abs(c) for c in f[:-1])) / abs(f[-1])
 
 
-def _deflate(p: Poly, c: Fraction) -> Poly:
-    """Divide out a known root ``c``, returning a primitive quotient."""
-    out = []
-    acc = Fraction(0)
-    for coeff in reversed(p):
-        acc = acc * c + coeff
-        out.append(acc)
-    if out[-1] != 0:
-        raise ArithmeticError("deflation point is not a root")
-    return _int_primitive(tuple(reversed(out[:-1])))
+def _split(p: Poly, chain, a, b, t, cache) -> tuple:
+    """The half of ``(a, b)`` split at ``t`` that isolates the root of
+    ``p`` there, or ``(t, t)`` when ``t`` is that root."""
+    if eval_at(p, t) == 0:
+        return t, t
+    if _count_roots(chain, a, t, cache) == 1:
+        return a, t
+    return t, b
 
 
 def _isolate_squarefree(p: Poly):
@@ -212,7 +220,7 @@ def _isolate_squarefree(p: Poly):
         for s in (c, -c):
             if degree(p) >= 1 and eval_at(p, s) == 0:
                 exacts.append(Fraction(s))
-                p = _deflate(p, Fraction(s))
+                p = _exact_quotient(p, (-s, 1))
 
     while True:
         if degree(p) == 1:
@@ -244,7 +252,7 @@ def _isolate_squarefree(p: Poly):
         if hit is None:
             break
         exacts.append(hit)
-        p = _deflate(p, hit)
+        p = _exact_quotient(p, (-hit.numerator, hit.denominator))
 
     # Shrink intervals until neither interior nor endpoints meet a
     # previously extracted root; downstream Sturm counts of arbitrary
@@ -252,17 +260,12 @@ def _isolate_squarefree(p: Poly):
     avoid = set(exacts)
     cleaned = []
     for a, b in out:
-        while (a in avoid or b in avoid or any(a < c < b for c in avoid)):
+        while a != b and (a in avoid or b in avoid
+                          or any(a < c < b for c in avoid)):
             t = (a + b) / 2
             while t in avoid:
                 t = (a + t) / 2
-            if eval_at(p, t) == 0:
-                a = b = t
-                break
-            if _count_roots(chain, a, t, cache) == 1:
-                b = t
-            else:
-                a = t
+            a, b = _split(p, chain, a, b, t, cache)
         if a == b:
             exacts.append(a)
         else:
@@ -351,13 +354,7 @@ def isolate_roots(f: Poly) -> RootIsolation:
             if r2[1] - r2[0] > r1[1] - r1[0]:
                 r1, r2 = r2, r1
             t = (r1[0] + r1[1]) / 2
-        cache: dict = {}
-        if eval_at(r1[3], t) == 0:
-            r1[0] = r1[1] = t
-        elif _count_roots(r1[4], r1[0], t, cache) == 1:
-            r1[1] = t
-        else:
-            r1[0] = t
+        r1[0], r1[1] = _split(r1[3], r1[4], r1[0], r1[1], t, {})
 
     return RootIsolation(tuple((r[0], r[1], r[2]) for r in records))
 

@@ -14,7 +14,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 
 from .complexes import h_polynomial
 from .localh import (
@@ -73,6 +73,9 @@ DEFAULT_SEEDS = tuple(range(1, 21))
 DEFAULT_NS = (2, 3, 4)
 DEFAULT_STEPS = 6
 DEFAULT_KINDS = ("sd", "esd:2", "esd:3")
+# Cases one run may list.  The range suites expand n_max and r_max to
+# 0..max or 1..max, and the gamma suites multiply ns, seeds and kinds.
+CASE_CAP = 100_000
 
 COUNTEREXAMPLE = (0, 7, 42, 63, 42, 7)
 
@@ -442,12 +445,10 @@ def _case_foata(params: dict) -> CaseResult:
 
 
 def _cases_gamma_family(o, extra=lambda n: [{}]):
-    out = []
     for n in o["ns"]:
         for seed in o["seeds"]:
             for added in extra(n):
-                out.append({"n": n, "seed": seed, "steps": o["steps"], **added})
-    return out
+                yield {"n": n, "seed": seed, "steps": o["steps"], **added}
 
 
 _SUITES = {
@@ -469,44 +470,44 @@ _SUITES = {
     ),
     "thm-dnkj": (
         "(d_nkj)_j interlacing sequences, interlaced by the Eulerian polynomial",
-        lambda o: [{"n": n, "k": k}
-                   for n in range(o["n_max"] + 1) for k in range(n + 1)],
+        lambda o: ({"n": n, "k": k}
+                   for n in range(o["n_max"] + 1) for k in range(n + 1)),
         _case_thm_dnkj,
     ),
     "cor-sd": (
         "iterated barycentric local h real-rooted and Eulerian-interlaced",
-        lambda o: [{"n": n, "k": k}
+        lambda o: ({"n": n, "k": k}
                    for n in range(1, o["n_max"] + 1)
-                   for k in range(1, o["k_max"] + 1)],
+                   for k in range(1, o["k_max"] + 1)),
         _case_cor_sd,
     ),
     "cor-2sd": (
         "second barycentric local h equals its permutation expansion",
-        lambda o: [{"n": n} for n in range(o["n_max"] + 1)],
+        lambda o: ({"n": n} for n in range(o["n_max"] + 1)),
         _case_cor_2sd,
     ),
     "prop-lnkj": (
         "structure of the two-parameter family: positivity, reversal, recurrences",
-        lambda o: [{"kind": kind, "size": 5 if kind.endswith(":3") else 6, "part": p}
-                   for kind in o["kinds"] for p in "abcdef"],
+        lambda o: ({"kind": kind, "size": 5 if kind.endswith(":3") else 6, "part": p}
+                   for kind in o["kinds"] for p in "abcdef"),
         _case_prop_lnkj,
     ),
     "prop-dnkj": (
         "properties of the position-refined d-polynomials",
-        lambda o: [{"n": n, "part": p}
-                   for n in range(o["n_max"] + 1) for p in "abcdefg"],
+        lambda o: ({"n": n, "part": p}
+                   for n in range(o["n_max"] + 1) for p in "abcdefg"),
         _case_prop_dnkj,
     ),
     "prop-dnkj-rec": (
         "row recurrences generating d_nkj from size n-1",
-        lambda o: [{"n": n, "part": p}
-                   for n in range(1, o["n_max"] + 1) for p in "ab"],
+        lambda o: ({"n": n, "part": p}
+                   for n in range(1, o["n_max"] + 1) for p in "ab"),
         _case_prop_dnkj_rec,
     ),
     "prop-esdr": (
         "closed dilation-count formulas for the edgewise families",
-        lambda o: [{"n": n, "r": r}
-                   for n in range(1, o["n_max"] + 1) for r in range(1, o["r_max"] + 1)],
+        lambda o: ({"n": n, "r": r}
+                   for n in range(1, o["n_max"] + 1) for r in range(1, o["r_max"] + 1)),
         _case_prop_esdr,
     ),
     "esd-counterexample": (
@@ -516,7 +517,7 @@ _SUITES = {
     ),
     "foata": (
         "cycle-notation transform: excedances, fixed points, position of 1",
-        lambda o: [{"n": n} for n in range(1, o["n_max"] + 1)],
+        lambda o: ({"n": n} for n in range(1, o["n_max"] + 1)),
         _case_foata,
     ),
 }
@@ -570,8 +571,13 @@ def run_suite(suite: str, *, ns=None, seeds=None, steps=None, rs=None,
         "k_max": 2 if k_max is None else k_max,
         "r_max": 6 if r_max is None else r_max,
     }
+    # Cases are drawn lazily, so an oversize list is refused before it
+    # is built and before any case runs.
     items = [(suite, tuple(sorted(case.items())))
-             for case in _SUITES[suite][1](options)]
+             for case in islice(_SUITES[suite][1](options), CASE_CAP + 1)]
+    if len(items) > CASE_CAP:
+        raise ValueError(f"suite {suite} lists more than {CASE_CAP} cases; "
+                         "narrow --n, --r, --seeds, --kinds or --k")
     start = time.perf_counter()
     # The default fork start method starts every worker at once, so the
     # pool never gets more workers than cases or processors.

@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +24,7 @@ from subdiv.triangulate import (
 from subdiv.verify import CaseResult, VerifySuiteReport
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -458,6 +462,13 @@ class TestStatPoly:
                            "--params", "11,0")
         assert code == 2
 
+    def test_word_family_budget(self, capsys):
+        code, out, err = run(capsys, "stat-poly", "--family", "E",
+                             "--params", "400,400")
+        assert (code, out) == (2, "")
+        assert err == ("error: E_nr(400, 400) exceeds the budget "
+                       "n^2 (r - 1) <= 2000000\n")
+
 
 def _table_argvs():
     for which in (1, 2, 3):
@@ -584,6 +595,25 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: --seeds {spec!r} lists more than 10000 values\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "prop-esdr", "--r", "1000000000"],
+         "suite prop-esdr lists more than 100000 cases"),
+        (["verify", "thm-sd", "--n", "1..10000", "--seeds", "1..10000"],
+         "suite thm-sd lists more than 100000 cases"),
+    ])
+    def test_case_cap_exits_two_at_once(self, argv, message):
+        # A subprocess, so that a regression fails on the timeout rather
+        # than stalling the suite.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-m", "subdiv.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=30)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith(f"error: {message}")
 
     def test_int_spec_cap_is_inclusive(self):
         assert cli_mod._parse_int_spec("1..9998,0,-1", "--seeds") == (

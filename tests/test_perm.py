@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subdiv import perm as perm_mod
 from subdiv.perm import (
     E_nr,
     _check_enum,
@@ -400,6 +401,23 @@ class TestWords:
             E_nr(0, 2)
         with pytest.raises(ValueError):
             E_nr(2, 0)
+
+    @pytest.mark.parametrize("n, r", [(400, 400), (200, 200), (3000, 2),
+                                      (2, 3 * 10**6), (1, 10**12)])
+    def test_budget_refuses(self, n, r):
+        with pytest.raises(ValueError, match="exceeds the budget"):
+            E_nr(n, r)
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(perm_mod, "E_NR_BUDGET", 36)
+        assert E_nr(3, 5) == veronese(power((1,) * 5, 3), 5, 0)
+        with pytest.raises(ValueError, match="exceeds the budget"):
+            E_nr(3, 6)
+
+    def test_budget_keeps_the_largest_call(self):
+        # ftriangle --kind esd:40320 --n 2, the largest E_nr the
+        # package makes, answers.
+        assert E_nr(2, 40320) == (1, 40319)
 
 
 class TestRecurrenceTableAgainstSweep:

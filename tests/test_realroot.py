@@ -26,10 +26,12 @@ from subdiv.poly import (
     power,
     reverse,
     shift,
+    sub,
     veronese,
 )
 from subdiv.realroot import (
     _count_roots,
+    _exact_quotient,
     _interlace_core,
     _isolate_squarefree,
     _remainder_sequence,
@@ -510,6 +512,118 @@ class TestAgainstSlotOracle:
         for f in fs:
             for g in fs:
                 assert _interlace_core(f, g) == _oracle_interlace(f, g)
+
+
+def _oracle_strip(f):
+    """Integer multiple of ``f`` with content 1 and the sign of ``f``."""
+    p = _oracle_primitive(f)
+    return p if (p[-1] > 0) == (f[-1] > 0) else tuple(-c for c in p)
+
+
+def _oracle_remainder_sequence(a, b):
+    """The signed remainder sequence by ``Fraction`` long division."""
+    a, b = normalize(a), normalize(b)
+    chain = [_oracle_strip(a)] if a else [()]
+    while b:
+        chain.append(_oracle_strip(b))
+        b = normalize(-c for c in _oracle_divmod(chain[-2], chain[-1])[1])
+    return tuple(chain)
+
+
+def _oracle_exact(f, g):
+    q, r = _oracle_divmod(f, g)
+    assert not r
+    return q
+
+
+def _oracle_yun(f):
+    """Yun's algorithm over ``Fraction`` with the oracle's own gcd."""
+    f = normalize(f)
+    if degree(f) == 0:
+        return []
+    g = _oracle_gcd(f, derivative(f))
+    b = _oracle_exact(f, g)
+    d = sub(_oracle_exact(derivative(f), g), derivative(b))
+    out, i = [], 1
+    while degree(b) > 0:
+        a = _oracle_gcd(b, d)
+        if degree(a) > 0:
+            out.append((_oracle_primitive(a), i))
+        b, d = _oracle_exact(b, a), _oracle_exact(d, a)
+        d = sub(d, derivative(b))
+        i += 1
+    return out
+
+
+@st.composite
+def _rational_polys(draw):
+    """Polynomials of ``_poly_pairs``, some rescaled to ``Fraction``
+    coefficients (monic, or times a negative fraction)."""
+    f = draw(_poly_pairs())[draw(st.sampled_from((0, 1)))]
+    how = draw(st.sampled_from(("int", "monic", "scaled")))
+    if f and how == "monic":
+        f = tuple(Fraction(c) / f[-1] for c in f)
+    elif how == "scaled":
+        f = tuple(c * Fraction(-2, 3) for c in f)
+    return f
+
+
+def _oracle_deflate(p, c):
+    """``p / (x - c)`` by Horner's rule over ``Fraction``, then stripped."""
+    acc, out = Fraction(0), []
+    for coeff in reversed(p):
+        acc = acc * c + coeff
+        out.append(acc)
+    assert out[-1] == 0
+    return _oracle_strip(tuple(reversed(out[:-1])))
+
+
+def _check_against_fraction(f, g):
+    assert sturm_chain(f) == _oracle_remainder_sequence(f, derivative(f))
+    if f and g:
+        assert _remainder_sequence(f, g) == _oracle_remainder_sequence(f, g)
+    if f:
+        assert yun_decomposition(f) == _oracle_yun(f)
+
+
+class TestIntegerDivisionAgainstFraction:
+    """The integer chain, Yun and deflation against a ``Fraction`` route."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rational_polys(), _rational_polys())
+    def test_entry_by_entry(self, f, g):
+        _check_against_fraction(f, g)
+
+    def test_fraction_negative_lead_and_repeated_roots(self):
+        cubed = power((Fraction(-1, 3), 1), 3)
+        f = mul(cubed, (1, 0, -2))
+        assert yun_decomposition(f) == [((-1, 0, 2), 1), ((-1, 3), 3)]
+        for f, g in [(f, cubed), ((3, -1, -1, -1, 2), (-1, 1, 3, -1, -2)),
+                     (tuple(Fraction(c, 4) for c in (8, 4, -1)), (1, Fraction(-5, 2)))]:
+            _check_against_fraction(f, g)
+            _check_against_fraction(g, f)
+
+    def test_families(self):
+        for f in [eulerian(n) for n in range(1, 8)] + [
+                E_nr(n, r) for n in range(1, 6) for r in range(1, 6)]:
+            _check_against_fraction(f, reverse(f, degree(f) + 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_poly_pairs(), st.sampled_from(GRID))
+    def test_deflation(self, pair, c):
+        linear = (-c.numerator, c.denominator)
+        p = _oracle_strip(mul(pair[0] or (1,), linear))
+        assert _exact_quotient(p, linear) == _oracle_deflate(p, c)
+
+    def test_exact_quotient(self):
+        assert _exact_quotient(mul((3, -2, 5), (-1, 3)), (-1, 3)) == (3, -2, 5)
+        assert _exact_quotient((), (2, 1)) == ()
+        # (1, 3) by (1, 2): the lead leaves a remainder that the rest
+        # of the division would hide
+        for f, g in [((1, 0, 1), (1, 1)), ((0, 0, 3), (1, 2)), ((1, 3), (1, 2)),
+                     ((1, 0, 2), (0, 1)), ((5,), (1, 1))]:
+            with pytest.raises(ArithmeticError):
+                _exact_quotient(f, g)
 
 
 def _proportional(p, q):

@@ -1,5 +1,7 @@
-"""The maintenance scripts still run against the package's public API."""
+"""The maintenance scripts and the benchmark's tracer still run against
+the package's public API."""
 
+import importlib
 import importlib.util
 import os
 import pathlib
@@ -37,3 +39,28 @@ def test_make_goldens_reproduces_the_committed_files(monkeypatch, tmp_path):
         name = f"table{which}.txt"
         committed = ROOT / "tests" / "golden" / name
         assert (tmp_path / name).read_bytes() == committed.read_bytes()
+
+
+def test_tracer_finds_every_traced_name():
+    """Every name the benchmark tracer wraps exists, and unwrapping
+    restores it; the tracer otherwise only runs in a traced benchmark."""
+    spec = importlib.util.spec_from_file_location(
+        "tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {}
+    for path in sorted((ROOT / "src" / "subdiv").glob("*.py")):
+        if path.stem != "__init__":
+            modules[path.stem] = importlib.import_module(f"subdiv.{path.stem}")
+    before = {name: dict(vars(mod)) for name, mod in modules.items()}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        realroot = modules["realroot"]
+        assert realroot.interlaces is not before["realroot"]["interlaces"]
+    finally:
+        tracer.uninstall()
+    for name, mod in modules.items():
+        assert all(vars(mod)[attr] is value
+                   for attr, value in before[name].items()), name
+    realroot.sturm_chain.cache_info()

@@ -1,5 +1,7 @@
 """Suite machinery: determinism, sharding, and honest failure reporting."""
 
+from itertools import count
+
 import pytest
 
 from subdiv import verify
@@ -124,6 +126,24 @@ class TestAllSuitesSmall:
     def test_every_suite_has_a_description(self):
         for suite in verify.SUITE_NAMES:
             assert verify.suite_description(suite)
+
+
+class TestCaseCap:
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(verify, "CASE_CAP", 10)
+        assert run_suite("thm-dnkj", n_max=3).cases_run == 10
+        with pytest.raises(ValueError, match="more than 10 cases"):
+            run_suite("thm-dnkj", n_max=4)
+
+    def test_cases_are_drawn_lazily(self, monkeypatch):
+        def never(params):
+            raise AssertionError("no case may run")
+
+        monkeypatch.setitem(
+            verify._SUITES, "endless",
+            ("endless", lambda o: ({"n": n} for n in count()), never))
+        with pytest.raises(ValueError, match="more than 100000 cases"):
+            run_suite("endless")
 
 
 class TestFailureDetection:
