@@ -1,11 +1,12 @@
 """Finite abstract simplicial complexes over integer vertex ids.
 
-A complex is stored by its inclusion-maximal faces; the vertex tuple
-and the full face list are computed lazily and memoized.  Two
-degenerate complexes are kept distinct on purpose: the void complex (no
-faces at all) and the empty complex whose only face is the empty set.
-The latter carries h-polynomial 1 and shows up as the restriction of a
-subdivision to the empty base face, so the distinction is load-bearing.
+A complex is stored by its inclusion-maximal faces; the vertex tuple,
+the face set and the ordered face list are computed lazily and
+memoized.  Two degenerate complexes are kept distinct on purpose: the
+void complex (no faces at all) and the empty complex whose only face is
+the empty set.  The latter carries h-polynomial 1 and shows up as the
+restriction of a subdivision to the empty base face, so the distinction
+is load-bearing.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ class SimplicialComplex:
     inclusion-maximal facets as sorted int tuples in canonical order,
     and labels naming only their vertices.
     Labels are provenance strings for display only and do not take part
-    in equality.  ``vertices`` and ``faces()`` are computed on first use
-    and memoized, which is safe because the facets never change.
+    in equality.  ``vertices``, the unordered ``face_set()`` and the
+    canonically ordered ``faces()`` are computed on first use and
+    memoized, which is safe because the facets never change.
     """
 
     __slots__ = ("facets", "labels", "_vertices", "_faces", "_face_set")
@@ -76,26 +78,32 @@ class SimplicialComplex:
     def is_pure(self) -> bool:
         return len({len(f) for f in self.facets}) <= 1
 
+    def face_set(self) -> frozenset[Face]:
+        """All faces, unordered: enough for counting and lookups."""
+        if self._face_set is None:
+            self._face_set = frozenset(sub for f in self.facets
+                                       for k in range(len(f) + 1)
+                                       for sub in combinations(f, k))
+        return self._face_set
+
     def faces(self):
         """All faces in canonical order: by size, then lexicographic."""
         if self._faces is None:
-            seen = {sub for f in self.facets for k in range(len(f) + 1)
-                    for sub in combinations(f, k)}
-            self._faces = tuple(sorted(seen, key=lambda g: (len(g), g)))
-            self._face_set = frozenset(self._faces)
+            by_size = [[] for _ in range(self.dimension() + 2)]
+            for g in self.face_set():
+                by_size[len(g)].append(g)
+            self._faces = tuple(g for group in by_size for g in sorted(group))
         return iter(self._faces)
 
     def __contains__(self, item) -> bool:
-        if self._face_set is None:
-            self.faces()
-        return tuple(item) in self._face_set
+        return tuple(item) in self.face_set()
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_{-1}, f_0, ..., f_{dim}); the void complex gives ()."""
         if self.is_void:
             return ()
         counts = [0] * (self.dimension() + 2)
-        for g in self.faces():
+        for g in self.face_set():
             counts[len(g)] += 1
         return tuple(counts)
 

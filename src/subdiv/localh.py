@@ -18,7 +18,6 @@ triangulation alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .complexes import h_from_f_vector
 from .perm import d_nkj, derangement_counts
@@ -27,8 +26,8 @@ from .triangulate import (
     FTriangle,
     Triangulation,
     _restriction_f_vectors,
+    _restrictions,
     face_table,
-    restriction,
 )
 
 
@@ -87,14 +86,12 @@ def h_from_local(T: Triangulation) -> Poly:
 
     Inverts :func:`local_h`; the result equals the h-polynomial of
     ``T.total``, which tests assert independently.  It builds every
-    restriction on purpose: summed over the face table alone it would
-    be h(T.total) by algebra, and the round-trip check would prove
-    nothing.
+    restriction on purpose, top-down as validation does: summed over
+    the face table alone it would be h(T.total) by algebra, and the
+    round-trip check would prove nothing.
     """
-    verts = _require_simplex_base(T)
-    return add(*(local_h(restriction(T, f))
-                 for size in range(len(verts) + 1)
-                 for f in combinations(verts, size)))
+    _require_simplex_base(T)
+    return add(*map(local_h, _restrictions(T).values()))
 
 
 @dataclass(frozen=True)

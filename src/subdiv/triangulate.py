@@ -76,17 +76,46 @@ def identity(K: SimplicialComplex) -> Triangulation:
 
 
 def restriction(T: Triangulation, F) -> Triangulation:
-    """The induced triangulation of the base face ``F``."""
+    """The induced triangulation of the base face ``F``.
+
+    When every vertex of ``T.total`` has a carrier inside ``F``, the
+    projection would give back the same facets, so ``T.total`` itself
+    (with its memoized faces) is the restricted complex.
+    """
     f = face(F)
     if f not in T.base:
         raise ValueError(f"{f} is not a face of the base complex")
     inside = set(f)
     keep = {v for v, c in T.vertex_carrier.items() if set(c) <= inside}
-    facets = [tuple(v for v in h if v in keep) for h in T.total.facets]
-    labels = {v: s for v, s in T.total.labels.items() if v in keep}
-    total = _from_sorted_facets(facets, labels)
+    if keep.issuperset(T.total.vertices):
+        total = T.total
+    else:
+        facets = [tuple(v for v in h if v in keep) for h in T.total.facets]
+        labels = {v: s for v, s in T.total.labels.items() if v in keep}
+        total = _from_sorted_facets(facets, labels)
     carriers = {v: T.vertex_carrier[v] for v in total.vertices}
     return Triangulation(_from_sorted_facets([f], {}), total, carriers)
+
+
+def _restrictions(T: Triangulation) -> dict[Face, Triangulation]:
+    """The restriction to every base face, keyed in canonical order.
+
+    Built top-down: a base facet's restriction comes from ``T``, and
+    every other face's from an already built restriction to a base face
+    with one more vertex, which is the same triangulation (a restriction
+    of a restriction) with fewer facets to project.
+    """
+    order = list(T.base.faces())
+    built: dict[Face, Triangulation] = {}
+    for f in reversed(order):  # every face after all faces one larger
+        if f not in built:  # no larger base face: f is a facet
+            built[f] = restriction(T, f)
+        R = built[f]
+        for i in range(len(f)):
+            g = f[:i] + f[i + 1:]
+            if g not in built:
+                built[g] = restriction(R, g)
+    return {f: built[f] for f in order}
 
 
 def barycentric(T: Triangulation) -> Triangulation:
@@ -130,16 +159,38 @@ def _edgewise_chains(m: int, r: int):
                     stack.append((bumped, free - {j}, chain + (bumped,)))
 
 
+def _edgewise_pattern(m: int, r: int):
+    """Local points and chains of an m-vertex facet under esd:r.
+
+    A point is a tuple of (position, weight) pairs with positive
+    weights; a chain is a tuple of indices into the points, in the
+    order :func:`_edgewise_chains` walks them.
+    """
+    points: dict[tuple[tuple[int, int], ...], int] = {}
+    chains = []
+    for chain in _edgewise_chains(m, r):
+        local = []
+        for t in chain:
+            p = tuple((i, t[i] - (t[i - 1] if i else 0))
+                      for i in range(m) if t[i] > (t[i - 1] if i else 0))
+            local.append(points.setdefault(p, len(points)))
+        chains.append(tuple(local))
+    assert len(chains) == r ** (m - 1)
+    return list(points), chains
+
+
 def edgewise(T: Triangulation, r: int) -> Triangulation:
     """The r-fold edgewise subdivision of ``T.total`` over ``T.base``.
 
     Vertices are the integer weightings of total vertices summing to r,
     supported on a face.  Partial sums run over each facet's vertices in
-    increasing id order.
+    increasing id order.  The chains of an m-vertex facet are walked
+    once per call and mapped onto each facet of that size.
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
 
+    patterns: dict[int, tuple] = {}
     point_ids: dict[tuple[tuple[int, int], ...], int] = {}
     local_facets: list[tuple[tuple[tuple[int, int], ...], ...]] = []
     for h in T.total.facets:
@@ -147,16 +198,11 @@ def edgewise(T: Triangulation, r: int) -> Triangulation:
         if m == 0:
             local_facets.append(())
             continue
-        count = 0
-        for chain in _edgewise_chains(m, r):
-            points = []
-            for t in chain:
-                weights = tuple((h[i], t[i] - (t[i - 1] if i else 0))
-                                for i in range(m) if t[i] > (t[i - 1] if i else 0))
-                points.append(weights)
-            local_facets.append(tuple(points))
-            count += 1
-        assert count == r ** (m - 1)
+        if m not in patterns:
+            patterns[m] = _edgewise_pattern(m, r)
+        points, chains = patterns[m]
+        named = [tuple((h[i], w) for i, w in p) for p in points]
+        local_facets.extend(tuple(named[j] for j in chain) for chain in chains)
 
     for f in local_facets:
         for p in f:
@@ -290,7 +336,7 @@ def face_table(T: Triangulation) -> dict[tuple[int, int], int]:
     """
     vertex_mask = _carrier_masks(T, T.vertex_carrier)
     table: dict[tuple[int, int], int] = {}
-    for g in T.total.faces():
+    for g in T.total.face_set():
         mask = 0
         for v in g:
             m = vertex_mask.get(v)
@@ -404,10 +450,11 @@ def f_triangle(kind: str, n: int) -> FTriangle:
 def validate_triangulation(T: Triangulation) -> dict[Face, Triangulation]:
     """Check the structural rules; raises ValueError on the first hit.
 
-    The last rule builds the restriction to every base face and checks
-    that it is a pure triangulation of that face's dimension.  Those
-    restrictions are returned, keyed by base face in canonical order,
-    so a caller that needs them does not build them again.
+    The last rule builds the restriction to every base face, top-down
+    (:func:`_restrictions`), and checks in canonical order that each is
+    a pure triangulation of that face's dimension.  Those restrictions
+    are returned, keyed by base face in canonical order, so a caller
+    that needs them does not build them again.
     """
     if set(T.vertex_carrier) != set(T.total.vertices):
         raise ValueError("vertex_carrier keys must be exactly the total's vertices")
@@ -419,19 +466,21 @@ def validate_triangulation(T: Triangulation) -> dict[Face, Triangulation]:
         raise ValueError("base vertices and singleton carriers do not match up")
     carried = set(_carrier_masks(T, {f: f for f in T.base.faces()}).values())
     vertex_mask = _carrier_masks(T, T.vertex_carrier)
-    for g in T.total.faces():
+    bad = []
+    for g in T.total.face_set():
         mask = 0
         for v in g:
             mask |= vertex_mask[v]
         if mask not in carried:
-            raise ValueError(f"face {g} is not carried by any base face")
-    restrictions = {}
-    for f in T.base.faces():
-        R = restriction(T, f)
+            bad.append(g)
+    if bad:
+        g = min(bad, key=lambda g: (len(g), g))
+        raise ValueError(f"face {g} is not carried by any base face")
+    restrictions = _restrictions(T)
+    for f, R in restrictions.items():
         sub = R.total
         if sub.is_void or not sub.is_pure() or sub.dimension() != len(f) - 1:
             raise ValueError(f"restriction to {f} is not a triangulation of it")
-        restrictions[f] = R
     return restrictions
 
 

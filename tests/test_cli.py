@@ -425,6 +425,7 @@ class TestInputFacetCap:
             raise AssertionError("faces listed before the size check")
 
         monkeypatch.setattr(SimplicialComplex, "faces", listed)
+        monkeypatch.setattr(SimplicialComplex, "face_set", listed)
         assert run(capsys, argv[0], "--input", path, *argv[1:]) == (
             2, "", "error: input has a facet on 18 vertices; the limit is 12\n")
 

@@ -162,6 +162,33 @@ class TestFaces:
                 assert tuple(x for x in G if x != v) in fs
 
 
+def sorted_faces(K: SimplicialComplex) -> list:
+    """Oracle for ``faces()``: every subset of every facet, sorted by key."""
+    seen = {sub for f in K.facets for k in range(len(f) + 1)
+            for sub in itertools.combinations(f, k)}
+    return sorted(seen, key=lambda g: (len(g), g))
+
+
+class TestFaceOrderAgainstSort:
+    """``faces()`` sorts the unordered face set size by size."""
+
+    @given(st.lists(st.lists(st.integers(-3, 8), max_size=5), max_size=6))
+    @example([])
+    @example([[]])
+    def test_canonical_order(self, raw):
+        K = from_facets(raw)
+        assert list(K.faces()) == sorted_faces(K)
+        assert K.face_set() == set(K.faces())
+        assert all(g in K for g in K.face_set())
+
+    def test_set_alone_leaves_the_order_unbuilt(self):
+        K = full_simplex(range(1, 6))
+        assert len(K.face_set()) == 32
+        assert K.f_vector() == (1, 5, 10, 10, 5, 1)
+        assert K._faces is None
+        assert list(K.faces()) == sorted_faces(K)
+
+
 class TestVertices:
     @given(
         st.lists(

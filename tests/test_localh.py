@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import outcome, perturbed, refined_stellar
-from subdiv import localh, triangulate, verify
+from subdiv import triangulate, verify
 from subdiv.complexes import from_facets, full_simplex, h_polynomial
 from subdiv.localh import (
     CoefficientMatrix,
@@ -455,7 +455,7 @@ class TestRoundTripStaysIndependent:
             built.append(F)
             return restriction(T, F)
 
-        monkeypatch.setattr(localh, "restriction", counting)
+        monkeypatch.setattr(triangulate, "restriction", counting)
         h_from_local(random_triangulation(tuple(range(1, n + 1)), 3, seed=7))
         assert len(built) == 2 ** n
 

@@ -1,5 +1,6 @@
 """Triangulations with carriers: constructions and their invariants."""
 
+import json
 import math
 
 import pytest
@@ -117,6 +118,55 @@ class TestRestriction:
         assert restriction(restriction(T, (1, 2)), (2,)) == restriction(T, (2,))
 
 
+class TestTopFaceReuse:
+    """The restriction to a face carrying every total vertex is ``T.total``
+    itself; any vertex left out forces the projection."""
+
+    @pytest.mark.parametrize("T", [
+        barycentric(trivial((1, 2, 3, 4))),
+        edgewise(stellar(trivial((1, 2, 3)), (1, 2, 3)), 3),
+    ], ids=["sd", "esd"])
+    def test_whole_simplex_reuses_the_total(self, T):
+        R = restriction(T, T.base.vertices)
+        assert R.total is T.total
+        assert R.vertex_carrier == T.vertex_carrier
+        assert R.base == T.base
+
+    def test_vertex_without_carrier_is_projected_away(self):
+        T = sd3()
+        center = find_vertex(T, (1, 2, 3))
+        carriers = {v: c for v, c in T.vertex_carrier.items() if v != center}
+        R = restriction(Triangulation(T.base, T.total, carriers), (1, 2, 3))
+        assert R.total is not T.total
+        assert R.total == from_facets(
+            [tuple(v for v in h if v != center) for h in T.total.facets])
+        assert center not in R.total.labels
+
+    def test_carrier_outside_the_face_is_projected_away(self):
+        T = sd3()
+        center = find_vertex(T, (1, 2, 3))
+        carriers = dict(T.vertex_carrier)
+        carriers[center] = (9,)
+        R = restriction(Triangulation(T.base, T.total, carriers), (1, 2, 3))
+        assert R.total is not T.total
+        assert center not in R.total.vertices
+
+    def test_no_carriers_at_all(self):
+        # Every carrier lies inside F vacuously, yet no vertex is kept.
+        T = Triangulation(full_simplex((1, 2, 3)), full_simplex((1, 2, 3)), {})
+        R = restriction(T, (1, 2, 3))
+        assert R.total is not T.total
+        assert R.total.facets == ((),)
+        assert R.vertex_carrier == {}
+
+    def test_extra_carrier_key_is_dropped(self):
+        T = sd3()
+        carriers = {**T.vertex_carrier, 99: (1,)}
+        R = restriction(Triangulation(T.base, T.total, carriers), (1, 2, 3))
+        assert R.total is T.total
+        assert R.vertex_carrier == T.vertex_carrier
+
+
 class TestBarycentric:
     def test_edge(self):
         T = barycentric(trivial((1, 2)))
@@ -178,6 +228,57 @@ class TestEdgewise:
         assert T.base == full_simplex((1, 2, 3))
         assert len(T.total.facets) == 3 * 4
         validate_triangulation(T)
+
+
+def chain_walk_edgewise(T: Triangulation, r: int) -> Triangulation:
+    """Oracle for :func:`edgewise`: every facet walks its own chains."""
+    point_ids = {}
+    local_facets = []
+    for h in T.total.facets:
+        m = len(h)
+        if m == 0:
+            local_facets.append(())
+            continue
+        for chain in triangulate_mod._edgewise_chains(m, r):
+            points = []
+            for t in chain:
+                points.append(tuple((h[i], t[i] - (t[i - 1] if i else 0))
+                                    for i in range(m) if t[i] > (t[i - 1] if i else 0)))
+            local_facets.append(tuple(points))
+    for f in local_facets:
+        for p in f:
+            point_ids.setdefault(p, 0)
+    for i, p in enumerate(sorted(point_ids), start=1):
+        point_ids[p] = i
+    facets = [tuple(sorted(point_ids[p] for p in f)) for f in local_facets]
+    labels = {i: " ".join(f"{v}^{c}" for v, c in p) for p, i in point_ids.items()}
+    carriers = {point_ids[p]: carrier(T, [v for v, _ in p]) for p in point_ids}
+    return Triangulation(T.base, from_facets(facets, labels), carriers)
+
+
+def _wire_bytes(T: Triangulation) -> tuple:
+    """The JSON bytes, plus the insertion order of labels and carriers."""
+    return (json.dumps(triangulation_to_json(T)),
+            list(T.total.labels.items()), list(T.vertex_carrier.items()))
+
+
+class TestEdgewisePattern:
+    """One chain pattern per facet size, against walking every facet."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 3), st.integers(0, 10**6),
+           st.integers(1, 4))
+    def test_stellar_bases(self, n, steps, seed, r):
+        G = random_triangulation(tuple(range(1, n + 1)), steps, seed=seed)
+        assert _wire_bytes(edgewise(G, r)) == _wire_bytes(chain_walk_edgewise(G, r))
+
+    def test_counterexample(self):
+        G = stellar(trivial(range(1, 7)), range(1, 7))
+        assert _wire_bytes(edgewise(G, 2)) == _wire_bytes(chain_walk_edgewise(G, 2))
+
+    def test_mixed_facet_sizes(self):
+        G = identity(from_facets([(1, 2, 3), (3, 4), (5,)]))
+        assert _wire_bytes(edgewise(G, 3)) == _wire_bytes(chain_walk_edgewise(G, 3))
 
 
 class TestStellar:
@@ -646,19 +747,32 @@ class TestTrustedBuilders:
         assert (T.total.facets, T.total.labels) == (again.facets, again.labels)
 
 
+def _restriction_parts(restrictions: dict) -> list:
+    return [(f, R.base.facets, R.total.facets, list(R.total.labels.items()),
+             list(R.vertex_carrier.items())) for f, R in restrictions.items()]
+
+
 class TestValidateReturnsRestrictions:
-    @settings(max_examples=40, deadline=None)
+    """The top-down restrictions against ``restriction(T, f)`` built from
+    ``T`` for every base face, in canonical order (the oracle)."""
+
+    @settings(max_examples=60, deadline=None)
     @given(perturbed(refined_stellar()))
     def test_matches_restriction(self, T):
-        try:
-            restrictions = validate_triangulation(T)
-        except ValueError:
+        fast = outcome(validate_triangulation, T)
+        slow = outcome(union_validate, T)
+        if fast[0] != "value" or slow[0] != "value":
+            assert fast == slow
             return
-        assert list(restrictions) == list(T.base.faces())
-        for f, R in restrictions.items():
-            expected = restriction(T, f)
-            assert R == expected
-            assert R.total.labels == expected.total.labels
+        assert list(fast[1]) == list(T.base.faces())
+        assert _restriction_parts(fast[1]) == _restriction_parts(slow[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(perturbed(st.one_of(refined_stellar(), non_simplex_bases())))
+    def test_top_down_on_any_base(self, T):
+        direct = {f: restriction(T, f) for f in T.base.faces()}
+        assert (_restriction_parts(triangulate_mod._restrictions(T))
+                == _restriction_parts(direct))
 
 
 class TestLinearLoad:
