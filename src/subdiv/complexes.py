@@ -133,19 +133,28 @@ def _from_sorted_facets(facets, labels: dict[int, str]) -> SimplicialComplex:
     Each facet must be a sorted tuple of distinct ints and every label
     key a vertex of some facet; the package's own builders guarantee
     both.  Duplicate and dominated facets are still dropped, and
-    ``labels`` is kept as given, not copied.
+    ``labels`` is kept as given, not copied.  A candidate is checked
+    only against the kept larger facets through its rarest vertex.
     """
     candidates = sorted(set(facets), key=len, reverse=True)
     kept: list[Face] = []
-    dominators: list[set] = []  # kept facets strictly larger than the current one
+    # vertex -> kept facets through it strictly larger than the current one
+    larger: dict[int, list[set]] = {}
     promoted = 0
     for f in candidates:
         while promoted < len(kept) and len(kept[promoted]) > len(f):
-            dominators.append(set(kept[promoted]))
+            g = kept[promoted]
+            gs = set(g)
+            for v in g:
+                larger.setdefault(v, []).append(gs)
             promoted += 1
-        fs = set(f)
-        if not any(fs <= g for g in dominators):
-            kept.append(f)
+        if promoted:  # some kept facet is larger than f
+            if not f:
+                continue
+            rarest = min((larger.get(v, ()) for v in f), key=len)
+            if any(map(set(f).issubset, rarest)):
+                continue
+        kept.append(f)
     kept.sort(key=lambda g: (len(g), g))
     return SimplicialComplex(tuple(kept), labels)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement, permutations
 from math import factorial
 
@@ -47,11 +48,18 @@ class Triangulation:
     ``vertex_carrier`` maps each vertex of ``total`` to the base face
     it sits inside.  The constructor trusts its arguments; use
     :func:`validate_triangulation` to check the structural rules.
+    Like the faces of a complex, the :func:`face_table` is computed on
+    first use and kept with the instance, so none of the three fields
+    may change afterwards.
     """
 
     base: SimplicialComplex
     total: SimplicialComplex
     vertex_carrier: dict[int, Face]
+
+    @cached_property
+    def _face_table(self) -> dict[tuple[int, int], int]:
+        return _tabulate_faces(self)
 
 
 def carrier(T: Triangulation, G) -> Face:
@@ -80,17 +88,21 @@ def restriction(T: Triangulation, F) -> Triangulation:
 
     When every vertex of ``T.total`` has a carrier inside ``F``, the
     projection would give back the same facets, so ``T.total`` itself
-    (with its memoized faces) is the restricted complex.
+    (with its memoized faces) is the restricted complex.  If moreover
+    ``F`` is the only facet of the base and the carrier map has no
+    other keys, the restriction is ``T`` itself, face table included.
     """
     f = face(F)
     if f not in T.base:
         raise ValueError(f"{f} is not a face of the base complex")
     inside = set(f)
-    keep = {v for v, c in T.vertex_carrier.items() if set(c) <= inside}
+    keep = {v for v, c in T.vertex_carrier.items() if inside.issuperset(c)}
     if keep.issuperset(T.total.vertices):
+        if T.base.facets == (f,) and len(T.vertex_carrier) == len(T.total.vertices):
+            return T
         total = T.total
     else:
-        facets = [tuple(v for v in h if v in keep) for h in T.total.facets]
+        facets = [tuple(filter(keep.__contains__, h)) for h in T.total.facets]
         labels = {v: s for v, s in T.total.labels.items() if v in keep}
         total = _from_sorted_facets(facets, labels)
     carriers = {v: T.vertex_carrier[v] for v in total.vertices}
@@ -211,9 +223,11 @@ def edgewise(T: Triangulation, r: int) -> Triangulation:
         point_ids[p] = i
 
     # A chain's points are distinct but not numbered in increasing order.
-    facets = [tuple(sorted(point_ids[p] for p in f)) for f in local_facets]
+    facets = [tuple(sorted(map(point_ids.__getitem__, f))) for f in local_facets]
     labels = {i: " ".join(f"{v}^{c}" for v, c in p) for p, i in point_ids.items()}
-    carriers = {point_ids[p]: carrier(T, [v for v, _ in p]) for p in point_ids}
+    supports = {p: tuple(v for v, _ in p) for p in point_ids}
+    carrier_of = {g: carrier(T, g) for g in set(supports.values())}
+    carriers = {point_ids[p]: carrier_of[g] for p, g in supports.items()}
     return Triangulation(T.base, _from_sorted_facets(facets, labels), carriers)
 
 
@@ -333,7 +347,13 @@ def face_table(T: Triangulation) -> dict[tuple[int, int], int]:
     F's, so this one pass over the faces answers every restriction's
     face counts at once.  Faces that no restriction keeps (a vertex
     without a carrier, or with one leaving the base) are left out.
+    The table is built once per ``T`` and shared by every caller, who
+    must only read it.
     """
+    return T._face_table
+
+
+def _tabulate_faces(T: Triangulation) -> dict[tuple[int, int], int]:
     vertex_mask = _carrier_masks(T, T.vertex_carrier)
     table: dict[tuple[int, int], int] = {}
     for g in T.total.face_set():
@@ -465,15 +485,16 @@ def validate_triangulation(T: Triangulation) -> dict[Face, Triangulation]:
     if tuple(singles) != T.base.vertices:
         raise ValueError("base vertices and singleton carriers do not match up")
     carried = set(_carrier_masks(T, {f: f for f in T.base.faces()}).values())
-    vertex_mask = _carrier_masks(T, T.vertex_carrier)
-    bad = []
-    for g in T.total.face_set():
-        mask = 0
-        for v in g:
-            mask |= vertex_mask[v]
-        if mask not in carried:
-            bad.append(g)
-    if bad:
+    # Every carrier is a base face now, so the table has every face.
+    if not carried.issuperset(mask for mask, _ in face_table(T)):
+        vertex_mask = _carrier_masks(T, T.vertex_carrier)
+        bad = []
+        for g in T.total.face_set():
+            mask = 0
+            for v in g:
+                mask |= vertex_mask[v]
+            if mask not in carried:
+                bad.append(g)
         g = min(bad, key=lambda g: (len(g), g))
         raise ValueError(f"face {g} is not carried by any base face")
     restrictions = _restrictions(T)

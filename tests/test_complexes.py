@@ -125,6 +125,56 @@ class TestTrustedConstructor:
         assert K.labels == {1: "a"}
 
 
+def quadratic_filter(facets) -> tuple:
+    """Oracle for the domination filter of :func:`_from_sorted_facets`:
+    each candidate, largest first, against every kept larger facet."""
+    candidates = sorted(set(facets), key=len, reverse=True)
+    kept = []
+    dominators = []
+    promoted = 0
+    for f in candidates:
+        while promoted < len(kept) and len(kept[promoted]) > len(f):
+            dominators.append(set(kept[promoted]))
+            promoted += 1
+        fs = set(f)
+        if not any(fs <= g for g in dominators):
+            kept.append(f)
+    kept.sort(key=lambda g: (len(g), g))
+    return tuple(kept)
+
+
+@st.composite
+def nested_facet_lists(draw):
+    """Sorted facets of mixed sizes, with repeats, the empty face and
+    subsets of other drawn facets mixed in, in any order."""
+    tops = draw(st.lists(st.sets(st.integers(1, 8), max_size=6), max_size=8))
+    facets = [tuple(sorted(f)) for f in tops]
+    for f in list(facets):
+        if f and draw(st.booleans()):
+            sub = draw(st.sets(st.sampled_from(f), max_size=len(f)))
+            facets.append(tuple(sorted(sub)))
+    if draw(st.booleans()):
+        facets.append(())
+    if facets and draw(st.booleans()):
+        facets.append(draw(st.sampled_from(facets)))
+    return draw(st.permutations(facets))
+
+
+class TestDominationFilter:
+    """The kept facets against the quadratic scan (the oracle)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(nested_facet_lists())
+    @example([])
+    @example([()])
+    @example([(), ()])
+    @example([(), (1,)])
+    @example([(1, 2), (3,), (), (2,), (1, 2)])
+    @example([(1, 2, 3), (1, 2), (2, 4), (4,), (1, 3, 4), (3, 4)])
+    def test_matches_quadratic_scan(self, facets):
+        assert _from_sorted_facets(list(facets), {}).facets == quadratic_filter(facets)
+
+
 class TestFaces:
     def test_simplex_counts(self):
         K = full_simplex((1, 2, 3))

@@ -10,6 +10,7 @@ from conftest import outcome, perturbed, refined_stellar
 from subdiv import triangulate as triangulate_mod
 from subdiv.complexes import (
     SchemaError,
+    SimplicialComplex,
     complex_to_json,
     from_facets,
     full_simplex,
@@ -26,6 +27,7 @@ from subdiv.triangulate import (
     edgewise,
     f_triangle,
     f_triangle_of,
+    face_table,
     identity,
     iterated_sd,
     parse_kind,
@@ -165,6 +167,85 @@ class TestTopFaceReuse:
         R = restriction(Triangulation(T.base, T.total, carriers), (1, 2, 3))
         assert R.total is T.total
         assert R.vertex_carrier == T.vertex_carrier
+
+
+def loop_face_table(T: Triangulation) -> dict:
+    """Oracle for :func:`face_table`: one pass over the faces of
+    ``T.total``, each face's carrier mask ORed vertex by vertex."""
+    bit = {v: 1 << i for i, v in enumerate(T.base.vertices)}
+    vertex_mask = {v: sum(bit[u] for u in set(c))
+                   for v, c in T.vertex_carrier.items() if all(u in bit for u in c)}
+    table = {}
+    for g in T.total.faces():
+        if all(v in vertex_mask for v in g):
+            mask = 0
+            for v in g:
+                mask |= vertex_mask[v]
+            table[mask, len(g)] = table.get((mask, len(g)), 0) + 1
+    return table
+
+
+def _recarried(T: Triangulation, **edits) -> Triangulation:
+    """``T`` with the carrier of its top-carried vertex edited: ``drop``
+    removes it, ``to=c`` moves it to ``c``; ``none`` clears every carrier."""
+    if edits.get("none"):
+        return Triangulation(T.base, T.total, {})
+    center = next(v for v, c in T.vertex_carrier.items() if c == T.base.vertices)
+    carriers = dict(T.vertex_carrier)
+    if edits.get("drop"):
+        del carriers[center]
+    else:
+        carriers[center] = edits["to"]
+    return Triangulation(T.base, T.total, carriers)
+
+
+_SD4 = barycentric(trivial((1, 2, 3, 4)))
+_ESD = edgewise(stellar(trivial((1, 2, 3)), (1, 2, 3)), 3)
+_STELLAR = random_triangulation((1, 2, 3, 4), 4, seed=3)
+
+
+class TestTopRestrictionIsT:
+    """The restriction to the only base facet, keeping every vertex under
+    exactly its carriers, is ``T`` itself; anything else builds anew."""
+
+    @pytest.mark.parametrize("T", [_SD4, _ESD], ids=["sd", "esd"])
+    def test_whole_simplex(self, T):
+        assert restriction(T, T.base.vertices) is T
+        assert restriction(T, list(reversed(T.base.vertices))) is T
+
+    def test_through_validation(self):
+        T = barycentric(trivial((1, 2, 3)))
+        assert validate_triangulation(T)[(1, 2, 3)] is T
+
+    def test_base_with_several_facets(self):
+        inner = barycentric(trivial((1, 2, 3)))
+        T = Triangulation(from_facets([(1, 2, 3), (3, 4)]), inner.total,
+                          inner.vertex_carrier)
+        R = restriction(T, (1, 2, 3))
+        assert R is not T
+        assert R.total is T.total
+        assert R.base == full_simplex((1, 2, 3))
+        assert R.vertex_carrier == T.vertex_carrier
+
+    def test_extra_carrier_key(self):
+        T = sd3()
+        carriers = {**T.vertex_carrier, 99: (1,)}
+        R = restriction(Triangulation(T.base, T.total, carriers), (1, 2, 3))
+        assert R is not T
+        assert R.total is T.total
+        assert R.vertex_carrier == T.vertex_carrier
+
+    @pytest.mark.parametrize("edits", [{"drop": True}, {"to": (9,)}],
+                             ids=["no-carrier", "leaves-face"])
+    def test_dropped_vertex(self, edits):
+        T = _recarried(sd3(), **edits)
+        R = restriction(T, (1, 2, 3))
+        assert R is not T
+        assert R.total is not T.total
+
+    def test_a_proper_face(self):
+        T = sd3()
+        assert restriction(T, (1, 2)) is not T
 
 
 class TestBarycentric:
@@ -664,6 +745,23 @@ class TestValidateRejections:
         assert str(err.value) == message
 
 
+class TestFirstUncarriedFace:
+    def test_smallest_not_first_listed(self):
+        # Three faces are uncarried; the face set lists (2, 4) before the
+        # smallest, (1, 4), which is the one reported.
+        T = Triangulation(from_facets([(1, 2), (2, 3), (3, 4)]),
+                          from_facets([(1, 2, 4), (3,)]),
+                          {1: (1,), 2: (2,), 3: (3,), 4: (4,)})
+        carried = set(T.base.faces())
+        uncarried = [g for g in T.total.face_set() if g not in carried]
+        assert sorted(uncarried) == [(1, 2, 4), (1, 4), (2, 4)]
+        assert uncarried[0] != (1, 4)
+        with pytest.raises(ValueError) as err:
+            validate_triangulation(T)
+        assert str(err.value) == "face (1, 4) is not carried by any base face"
+        assert outcome(validate_triangulation, T) == outcome(union_validate, T)
+
+
 def union_validate(T: Triangulation):
     """Oracle for :func:`validate_triangulation`: the same checks in the
     same order, with each face's carrier taken as the sorted union of
@@ -714,6 +812,45 @@ def non_simplex_bases(draw):
             st.sampled_from([f for f in T.base.faces() if len(f) >= 2]))
         T = Triangulation(T.base, T.total, carriers)
     return T
+
+
+class TestFaceTable:
+    """The memoized table against the per-face loop (the oracle)."""
+
+    @pytest.mark.parametrize("T", [
+        _SD4, _ESD, _STELLAR, trivial(()),
+        _recarried(_SD4, drop=True),
+        _recarried(_ESD, to=(9,)),
+        _recarried(_STELLAR, to=(1, 9)),
+        _recarried(_SD4, none=True),
+    ], ids=["sd", "esd", "stellar", "empty", "no-carrier", "leaves-base",
+            "partly-leaves-base", "no-carriers"])
+    def test_matches_loop(self, T):
+        T = Triangulation(T.base, T.total, T.vertex_carrier)  # a cold table
+        assert face_table(T) == loop_face_table(T)
+
+    @settings(max_examples=60, deadline=None)
+    @given(perturbed(st.one_of(refined_stellar(), non_simplex_bases())))
+    def test_matches_loop_on_drawn(self, T):
+        assert face_table(T) == loop_face_table(T)
+
+    def test_second_call_lists_no_faces(self, monkeypatch):
+        T = barycentric(trivial((1, 2, 3)))
+        want = loop_face_table(T)
+        first = face_table(T)
+
+        def refuse(self):
+            raise AssertionError("faces listed again")
+
+        monkeypatch.setattr(SimplicialComplex, "face_set", refuse)
+        assert face_table(T) is first
+        assert face_table(T) == want
+
+    def test_each_triangulation_has_its_own(self):
+        T = sd3()
+        U = _recarried(T, drop=True)
+        assert face_table(U) != face_table(T)
+        assert face_table(T) == loop_face_table(T)
 
 
 class TestCarriedCheckOnComplexes:
