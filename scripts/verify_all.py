@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run every verification suite at its default scale and summarize.
 
-Exit code 1 if any suite reports a failure.  Pass --jobs N to shard
-cases across processes; pass suite names to restrict the run.
+Exit code 1 if any suite reports a failure.  Pass suite names to
+restrict the run.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ def run() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("suites", nargs="*", default=None,
                         help="suite names (default: all)")
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
     names = args.suites or list(SUITE_NAMES)
     for name in names:
@@ -26,7 +25,7 @@ def run() -> int:
 
     broken = 0
     for name in names:
-        report = run_suite(name, jobs=args.jobs)
+        report = run_suite(name)
         mark = "ok  " if report.ok else "FAIL"
         print(f"{mark} {name:20s} {report.cases_run:4d} cases "
               f"{report.seconds:7.2f}s  {suite_description(name)}")

@@ -47,7 +47,7 @@ FORMATS = ("text", "json", "csv")
 # Values one integer spec such as --seeds 1..20 may list.
 INT_SPEC_CAP = 10_000
 
-_CONFIG_KEYS = ("prng", "max_enum_n", "format", "seed", "jobs")
+_CONFIG_KEYS = ("prng", "max_enum_n", "format", "seed")
 
 
 class CliError(Exception):
@@ -81,19 +81,13 @@ def _load_config(path: str | None) -> dict:
     if "seed" in raw and (isinstance(raw["seed"], bool)
                           or not isinstance(raw["seed"], int)):
         raise CliError("config seed must be an integer")
-    if "jobs" in raw and (isinstance(raw["jobs"], bool)
-                          or not isinstance(raw["jobs"], int) or raw["jobs"] < 1):
-        raise CliError("config jobs must be a positive integer")
     return raw
 
 
 def _resolve(args, config: dict):
     fmt = args.format or config.get("format", "text")
     seed = args.seed if args.seed is not None else config.get("seed", 0)
-    jobs = args.jobs if args.jobs is not None else config.get("jobs", 1)
-    if jobs < 1:
-        raise CliError("--jobs must be a positive integer")
-    return fmt, seed, jobs
+    return fmt, seed
 
 
 def _parse_int_spec(text: str, what: str) -> tuple[int, ...]:
@@ -192,7 +186,7 @@ def _table_data(which: int, n_max: int):
 
 
 def cmd_tables(args, config: dict) -> int:
-    fmt, _, _ = _resolve(args, config)
+    fmt, _ = _resolve(args, config)
     if args.n > TABLES_N_CAP:
         raise CliError(f"tables are limited to n <= {TABLES_N_CAP}")
     if args.n < 0:
@@ -211,7 +205,7 @@ def cmd_tables(args, config: dict) -> int:
 
 
 def cmd_localh(args, config: dict) -> int:
-    fmt, _, _ = _resolve(args, config)
+    fmt, _ = _resolve(args, config)
     T = _load_triangulation(args.input)
     n = len(T.base.vertices)
     if args.emit_c:
@@ -230,7 +224,7 @@ def cmd_localh(args, config: dict) -> int:
 
 
 def cmd_subdivide(args, config: dict) -> int:
-    _, seed, _ = _resolve(args, config)
+    _, seed = _resolve(args, config)
     T = _load_triangulation(args.input)
     kind = args.kind
     if kind.startswith("stellar:"):
@@ -265,7 +259,7 @@ def cmd_subdivide(args, config: dict) -> int:
 
 
 def cmd_interlace(args, config: dict) -> int:
-    fmt, _, _ = _resolve(args, config)
+    fmt, _ = _resolve(args, config)
     f = parse_poly(args.f)
     g = parse_poly(args.g)
     report = interlace_report(f, g)
@@ -292,7 +286,7 @@ def cmd_interlace(args, config: dict) -> int:
 
 
 def cmd_ftriangle(args, config: dict) -> int:
-    fmt, _, _ = _resolve(args, config)
+    fmt, _ = _resolve(args, config)
     if (args.input is None) == (args.kind is None):
         raise CliError("give exactly one of --input or --kind")
     if args.input:
@@ -317,7 +311,7 @@ def cmd_ftriangle(args, config: dict) -> int:
 
 
 def cmd_stat_poly(args, config: dict) -> int:
-    fmt, _, _ = _resolve(args, config)
+    fmt, _ = _resolve(args, config)
     params = _parse_int_spec(args.params, "--params")
     family = args.family
     try:
@@ -350,8 +344,8 @@ def _report_body(report) -> dict:
 
 
 def cmd_verify(args, config: dict) -> int:
-    fmt, _, jobs = _resolve(args, config)
-    kwargs: dict = {"jobs": jobs}
+    fmt, _ = _resolve(args, config)
+    kwargs: dict = {}
     if args.n:
         ns = _parse_int_spec(args.n, "--n")
         kwargs["ns"] = ns
@@ -398,11 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default from config, else text)")
     common.add_argument("--config", default=None, metavar="FILE",
                         help="JSON file pinning prng/max_enum_n and defaults "
-                             "for format/seed/jobs")
+                             "for format/seed")
     common.add_argument("--seed", type=int, default=None,
                         help="PRNG seed where randomness is involved")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for verify suites")
 
     parser = argparse.ArgumentParser(
         prog="subdiv",

@@ -250,6 +250,17 @@ def parse_kind(kind: str) -> int | None:
     raise UnknownKindError(f"unknown subdivision kind {kind!r} (use sd or esd:R)")
 
 
+def reference(kind: str, n: int) -> Poly:
+    """h-polynomial of the simplex on n vertices refined by ``sd`` or
+    ``esd:R``: the Eulerian polynomial A_n or ``E_nr(n, R)``, and 1 at
+    n = 0.  The local theorems say it interlaces the local h of that
+    refinement of any triangulation of the simplex."""
+    r = parse_kind(kind)
+    if r is None:
+        return eulerian(n)
+    return E_nr(n, r) if n else (1,)
+
+
 def refine(T: Triangulation, kind: str) -> Triangulation:
     """Refine ``T.total`` by ``sd`` or ``esd:R``, still over ``T.base``."""
     r = parse_kind(kind)
@@ -451,20 +462,16 @@ def f_triangle(kind: str, n: int) -> FTriangle:
     """Face-count triangle of the n-simplex refined by trivial, sd or esd:R.
 
     Nothing is built: row j is the f-vector of the refined simplex on j
-    vertices, read off its h-polynomial, which is 1 for trivial (and
-    esd:1), the Eulerian polynomial for sd (Brenti-Welker) and
+    vertices, read off its h-polynomial, :func:`reference`: 1 for trivial
+    (read as esd:1), the Eulerian polynomial for sd (Brenti-Welker) and
     ``E_nr(j, R)`` for esd:R (Athanasiadis).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    r = 1 if kind == "trivial" else parse_kind(kind)
-
-    def h(j: int) -> Poly:
-        if r is None:
-            return eulerian(j)
-        return E_nr(j, r) if j else (1,)
-
-    return FTriangle(n, tuple(f_vector_from_h(h(j), j) for j in range(n + 1)))
+    if kind == "trivial":
+        kind = "esd:1"
+    return FTriangle(n, tuple(f_vector_from_h(reference(kind, j), j)
+                              for j in range(n + 1)))
 
 
 def validate_triangulation(T: Triangulation) -> dict[Face, Triangulation]:

@@ -2,16 +2,13 @@
 
 Each suite enumerates a deterministic family of cases, runs one pure
 check per case, and returns a report whose case order depends only on
-the parameters.  Cases are picklable tuples so suites can shard across
-processes; results are merged by sorting on the case key, never by
-completion order.
+the parameters.  Case lists are not generated in key order, so the
+results are sorted on the case key.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, permutations
@@ -27,7 +24,6 @@ from .localh import (
     second_sd_local_h,
 )
 from .perm import (
-    E_nr,
     _check_enum,
     _split_sum,
     ascents,
@@ -63,6 +59,7 @@ from .triangulate import (
     iterated_sd,
     parse_kind,
     random_triangulation,
+    reference,
     refine,
     stellar,
     trivial,
@@ -196,23 +193,16 @@ def _result(params: dict, problems: list[str], ok_detail: str) -> CaseResult:
     return CaseResult(key, True, ok_detail)
 
 
-def _case_thm_sd(params: dict) -> CaseResult:
-    n, seed = params["n"], params["seed"]
-    G, steps = _gamma(n, seed, params["steps"], None)
-    T = barycentric(G)
-    problems: list[str] = []
-    ell = _structural(T, n, problems)
-    _certify(ell, eulerian(n), problems)
-    return _result(params, problems, f"steps={steps} ell={format_poly(ell)}")
-
-
-def _case_thm_esd(params: dict) -> CaseResult:
-    n, r, seed = params["n"], params["r"], params["seed"]
+def _case_local_theorem(params: dict) -> CaseResult:
+    """thm-sd without an ``r`` parameter, thm-esd with one: local h of
+    the refined random triangulation is real-rooted and interlaced by
+    ``reference``."""
+    n, seed, r = params["n"], params["seed"], params.get("r")
     G, steps = _gamma(n, seed, params["steps"], r)
-    T = edgewise(G, r)
+    T = barycentric(G) if r is None else edgewise(G, r)
     problems: list[str] = []
     ell = _structural(T, n, problems)
-    _certify(ell, E_nr(n, r), problems)
+    _certify(ell, reference("sd" if r is None else f"esd:{r}", n), problems)
     return _result(params, problems, f"steps={steps} ell={format_poly(ell)}")
 
 
@@ -248,7 +238,7 @@ def _case_cor_sd(params: dict) -> CaseResult:
     T = _iterated_sd(n, k)
     problems: list[str] = []
     ell = _structural(T, n, problems)
-    _certify(ell, eulerian(n), problems)
+    _certify(ell, reference("sd", n), problems)
     return _result(params, problems, f"ell={format_poly(ell)}")
 
 
@@ -455,13 +445,14 @@ _SUITES = {
     "thm-sd": (
         "barycentric local h real-rooted and interlaced by the Eulerian polynomial",
         lambda o: _cases_gamma_family(o),
-        _case_thm_sd,
+        _case_local_theorem,
     ),
     "thm-esd": (
         "edgewise local h real-rooted and interlaced by the word polynomial (r >= n)",
+        # r = n, n+1, n+2 by default; esd:r needs r >= 1, so n = 0 runs r = 1, 2.
         lambda o: _cases_gamma_family(
-            o, lambda n: [{"r": r} for r in (o["rs"] or (n, n + 1, n + 2))]),
-        _case_thm_esd,
+            o, lambda n: [{"r": r} for r in (o["rs"] or range(max(n, 1), n + 3))]),
+        _case_local_theorem,
     ),
     "thm-uniform": (
         "local h of a uniform refinement equals its weighted expansion",
@@ -548,8 +539,7 @@ def _run_case(item: tuple[str, tuple[tuple[str, object], ...]]) -> CaseResult:
 
 
 def run_suite(suite: str, *, ns=None, seeds=None, steps=None, rs=None,
-              kinds=None, n_max=None, k_max=None, r_max=None,
-              jobs: int = 1) -> VerifySuiteReport:
+              kinds=None, n_max=None, k_max=None, r_max=None) -> VerifySuiteReport:
     """Run one named suite and return its sorted, deterministic report."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(_SUITES)}")
@@ -559,8 +549,12 @@ def run_suite(suite: str, *, ns=None, seeds=None, steps=None, rs=None,
     if k_max is not None and k_max > top_k:
         raise ValueError(f"k is limited to {top_k}: sd^k has at least 2^k "
                          f"facets and the limit is {FACETS_CAP}")
+    if any(n < 0 for n in ns or ()):
+        raise ValueError("n must be nonnegative")
     for kind in kinds or ():
         parse_kind(kind)
+    for r in rs or ():
+        parse_kind(f"esd:{r}")
     options = {
         "ns": tuple(ns) if ns else DEFAULT_NS,
         "seeds": tuple(seeds) if seeds else DEFAULT_SEEDS,
@@ -579,13 +573,6 @@ def run_suite(suite: str, *, ns=None, seeds=None, steps=None, rs=None,
         raise ValueError(f"suite {suite} lists more than {CASE_CAP} cases; "
                          "narrow --n, --r, --seeds, --kinds or --k")
     start = time.perf_counter()
-    # The default fork start method starts every worker at once, so the
-    # pool never gets more workers than cases or processors.
-    workers = min(jobs, len(items), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_case, items))
-    else:
-        results = [_run_case(item) for item in items]
+    results = [_run_case(item) for item in items]
     results.sort(key=lambda c: tuple((k, repr(v)) for k, v in c.params))
     return VerifySuiteReport(suite, tuple(results), time.perf_counter() - start)

@@ -33,6 +33,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_python(*argv):
+    """A fresh interpreter that imports ``subdiv`` from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+
+
 @pytest.fixture
 def simplex3(tmp_path):
     path = tmp_path / "simplex3.json"
@@ -606,12 +615,7 @@ class TestVerifyCommand:
     def test_case_cap_exits_two_at_once(self, argv, message):
         # A subprocess, so that a regression fails on the timeout rather
         # than stalling the suite.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-        done = subprocess.run([sys.executable, "-m", "subdiv.cli", *argv],
-                              env=env, capture_output=True, text=True,
-                              timeout=30)
+        done = run_python("-m", "subdiv.cli", *argv)
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.startswith(f"error: {message}")
@@ -664,6 +668,38 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "thm-uniform", "--kinds", "esd:x")
         assert code == 2
         assert "edgewise" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--r", "0"], "edgewise parameter must be at least 1"),
+        (["--n", "3", "--r", "2,-1"], "edgewise parameter must be at least 1"),
+        (["--n", "-2"], "n must be nonnegative"),
+    ])
+    def test_bad_r_or_n_exits_two(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", "thm-esd", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_esd_at_n_zero_runs_r_from_one(self, capsys):
+        code, out, _ = run(capsys, "verify", "thm-esd", "--n", "0",
+                           "--seeds", "1", "--verbose")
+        assert code == 0
+        assert out == ("suite thm-esd: 2 cases, 0 failures\n"
+                       "  ok n=0 r=1 seed=1 steps=6: steps=1 ell=1\n"
+                       "  ok n=0 r=2 seed=1 steps=6: steps=1 ell=1\n")
+
+    def test_jobs_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "foata", "--jobs", "2"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    def test_import_starts_no_process_machinery(self):
+        probe = ("import sys, subdiv.cli; print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        done = run_python("-c", probe)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
 
 def _kind_argv(entry, simplex, kind):
@@ -789,3 +825,12 @@ class TestConfig:
         code, _, err = run(capsys, "verify", "foata", "--config", str(cfg))
         assert code == 2
         assert "unknown config key" in err
+
+    def test_jobs_key_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"jobs": 2}')
+        code, out, err = run(capsys, "verify", "foata", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: unknown config key 'jobs'; allowed: prng, "
+                       "max_enum_n, format, seed\n")

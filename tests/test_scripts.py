@@ -18,14 +18,25 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
     ("verify_all.py", ["foata"]),
 ])
 def test_script_exits_zero(script, args):
+    done = run_script(script, *args)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
+
+
+def run_script(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout
+
+
+def test_verify_all_has_no_jobs_flag():
+    done = run_script("verify_all.py", "--jobs", "2", "foata")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "unrecognized arguments: --jobs" in done.stderr
 
 
 def test_make_goldens_reproduces_the_committed_files(monkeypatch, tmp_path):

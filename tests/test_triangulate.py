@@ -32,6 +32,7 @@ from subdiv.triangulate import (
     iterated_sd,
     parse_kind,
     random_triangulation,
+    reference,
     refine,
     restriction,
     stellar,
@@ -530,6 +531,29 @@ class TestFTriangleAgainstBuilt:
         for name in ("trivial", "barycentric", "edgewise", "refine", "f_triangle_of"):
             monkeypatch.setattr(triangulate_mod, name, refuse)
         assert f_triangle(kind, 5) == want
+
+
+class TestReference:
+    """``reference`` builds nothing; h of the built refined simplex is
+    its oracle."""
+
+    @pytest.mark.parametrize("kind", ["sd", "esd:1", "esd:2", "esd:3"])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_is_h_of_the_refined_simplex(self, kind, n):
+        T = refine(trivial(range(1, n + 1)), kind)
+        assert reference(kind, n) == h_polynomial(T.total, n)
+
+    @pytest.mark.parametrize("kind", ["sd", "esd:1", "esd:5"])
+    def test_is_one_at_n_zero(self, kind):
+        assert reference(kind, 0) == (1,)
+
+    @pytest.mark.parametrize("kind", ["trivial", "esd:0", "foo"])
+    def test_reads_kinds_like_refine(self, kind):
+        with pytest.raises(ValueError) as want:
+            parse_kind(kind)
+        with pytest.raises(ValueError) as got:
+            reference(kind, 3)
+        assert str(got.value) == str(want.value)
 
 
 class TestKinds:

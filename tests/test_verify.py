@@ -67,47 +67,28 @@ class TestReportShape:
             run_suite("thm-uniform", kinds=kinds)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("options, message", [
+        (dict(rs=(0,)), "edgewise parameter must be at least 1"),
+        (dict(ns=(3,), rs=(2, -300)), "edgewise parameter must be at least 1"),
+        (dict(ns=(-2,)), "n must be nonnegative"),
+        (dict(ns=(2, -1), rs=(3,)), "n must be nonnegative"),
+    ])
+    def test_bad_r_or_n_rejected_before_any_case(self, monkeypatch, options,
+                                                 message):
+        def refuse(item):
+            raise AssertionError("a case ran before r and n were checked")
+
+        monkeypatch.setattr(verify, "_run_case", refuse)
+        with pytest.raises(ValueError) as err:
+            run_suite("thm-esd", **options)
+        assert str(err.value) == message
+
 
 class TestDeterminism:
     def test_repeat_runs_agree(self):
         a = run_suite("thm-sd", ns=(3,), seeds=(5, 6, 7))
         b = run_suite("thm-sd", ns=(3,), seeds=(5, 6, 7))
         assert snapshot(a) == snapshot(b)
-
-    def test_sharded_run_matches_sequential(self):
-        a = run_suite("thm-uniform", ns=(2, 3), seeds=(1, 2), kinds=("sd",))
-        b = run_suite("thm-uniform", ns=(2, 3), seeds=(1, 2), kinds=("sd",),
-                      jobs=3)
-        assert snapshot(a) == snapshot(b)
-
-    @pytest.mark.parametrize("jobs, cpus, expected", [
-        (64, 2, 2),   # processors bound a huge --jobs
-        (64, 16, 4),  # so does the number of cases
-        (3, 16, 3),
-        (3, None, 1),  # unknown processor count: run in process
-    ])
-    def test_pool_size_is_bounded(self, monkeypatch, jobs, cpus, expected):
-        sizes = []
-
-        class Recorder:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", Recorder)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
-        report = run_suite("thm-uniform", ns=(2, 3), seeds=(1, 2),
-                           kinds=("sd",), jobs=jobs)
-        assert report.cases_run == 4
-        assert sizes == ([expected] if expected > 1 else [])
 
     def test_cases_sorted_by_key(self):
         report = run_suite("foata", n_max=4)
@@ -169,12 +150,17 @@ class TestFailureDetection:
         verify._structural(broken, 3, problems)
         assert problems
 
+    # thm-sd and thm-esd share one case function; the ids keep naming
+    # the suite each row covers.
     @pytest.mark.parametrize("case, params, ell, ref", [
-        ("_case_thm_sd", {"n": 3, "seed": 2, "steps": 6}, "5x+5x^2", "1+4x+x^2"),
-        ("_case_thm_esd", {"n": 3, "r": 3, "seed": 2, "steps": 6},
+        ("_case_local_theorem", {"n": 3, "seed": 2, "steps": 6},
+         "5x+5x^2", "1+4x+x^2"),
+        ("_case_local_theorem", {"n": 3, "r": 3, "seed": 2, "steps": 6},
          "7x+7x^2", "1+7x+x^2"),
         ("_case_cor_sd", {"n": 3, "k": 1}, "x+x^2", "1+4x+x^2"),
-    ])
+    ], ids=["_case_thm_sd-params0-5x+5x^2-1+4x+x^2",
+            "_case_thm_esd-params1-7x+7x^2-1+7x+x^2",
+            "_case_cor_sd-params2-x+x^2-1+4x+x^2"])
     def test_certify_failure_details(self, monkeypatch, case, params, ell, ref):
         run_case = getattr(verify, case)
         monkeypatch.setattr(verify, "is_real_rooted", lambda f: False)
