@@ -18,7 +18,7 @@ import sys
 from . import verify as verify_mod
 from .complexes import SchemaError, complex_from_json
 from .localh import c_coefficients, local_h, local_h_via_uniform
-from .perm import E_NR_BUDGET, MAX_ENUM_N, E_nr, d_nk, d_nkj, p_nk
+from .perm import E_NR_BUDGET, E_nr, d_nk, d_nkj, p_nk
 from .poly import Poly, PolyParseError, format_poly, parse_poly, poly_to_json
 from .realroot import interlace_report
 from .triangulate import (
@@ -47,47 +47,8 @@ FORMATS = ("text", "json", "csv")
 # Values one integer spec such as --seeds 1..20 may list.
 INT_SPEC_CAP = 10_000
 
-_CONFIG_KEYS = ("prng", "max_enum_n", "format", "seed")
-
-
 class CliError(Exception):
     """Usage or input problem; maps to exit code 2."""
-
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as err:
-        raise CliError(f"cannot read config: {err}") from err
-    except json.JSONDecodeError as err:
-        raise CliError(f"config is not valid JSON: {err}") from err
-    if not isinstance(raw, dict):
-        raise CliError("config must be a JSON object")
-    for key in raw:
-        if key not in _CONFIG_KEYS:
-            raise CliError(
-                f"unknown config key {key!r}; allowed: {', '.join(_CONFIG_KEYS)}")
-    if "prng" in raw and raw["prng"] != "mt19937":
-        raise CliError("config pins prng to an algorithm this build does not "
-                       "provide; only 'mt19937' is available")
-    if "max_enum_n" in raw and raw["max_enum_n"] != MAX_ENUM_N:
-        raise CliError(f"config pins max_enum_n={raw['max_enum_n']!r} but this "
-                       f"build enumerates up to S_{MAX_ENUM_N}")
-    if "format" in raw and raw["format"] not in FORMATS:
-        raise CliError(f"config format must be one of {', '.join(FORMATS)}")
-    if "seed" in raw and (isinstance(raw["seed"], bool)
-                          or not isinstance(raw["seed"], int)):
-        raise CliError("config seed must be an integer")
-    return raw
-
-
-def _resolve(args, config: dict):
-    fmt = args.format or config.get("format", "text")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    return fmt, seed
 
 
 def _parse_int_spec(text: str, what: str) -> tuple[int, ...]:
@@ -185,14 +146,13 @@ def _table_data(which: int, n_max: int):
     return header, rows
 
 
-def cmd_tables(args, config: dict) -> int:
-    fmt, _ = _resolve(args, config)
+def cmd_tables(args) -> int:
     if args.n > TABLES_N_CAP:
         raise CliError(f"tables are limited to n <= {TABLES_N_CAP}")
     if args.n < 0:
         raise CliError("n must be nonnegative")
     header, rows = _table_data(args.which, args.n)
-    if fmt == "json":
+    if args.format == "json":
         body = {
             "table": args.which,
             "n": args.n,
@@ -200,12 +160,11 @@ def cmd_tables(args, config: dict) -> int:
         }
         print(json.dumps(body, sort_keys=True))
     else:
-        sys.stdout.write(_render_grid(header, rows, fmt))
+        sys.stdout.write(_render_grid(header, rows, args.format))
     return 0
 
 
-def cmd_localh(args, config: dict) -> int:
-    fmt, _ = _resolve(args, config)
+def cmd_localh(args) -> int:
     T = _load_triangulation(args.input)
     n = len(T.base.vertices)
     if args.emit_c:
@@ -219,12 +178,11 @@ def cmd_localh(args, config: dict) -> int:
         ell = local_h_via_uniform(F, c_coefficients(T))
     else:
         ell = local_h(T)
-    _emit_poly(ell, fmt)
+    _emit_poly(ell, args.format)
     return 0
 
 
-def cmd_subdivide(args, config: dict) -> int:
-    _, seed = _resolve(args, config)
+def cmd_subdivide(args) -> int:
     T = _load_triangulation(args.input)
     kind = args.kind
     if kind.startswith("stellar:"):
@@ -243,7 +201,7 @@ def cmd_subdivide(args, config: dict) -> int:
         if len(T.total.facets) != 1:
             raise CliError("random refinement starts from the trivial "
                            "triangulation; input must be a single simplex")
-        out = random_triangulation(T.base.vertices, steps, seed=seed)
+        out = random_triangulation(T.base.vertices, steps, seed=args.seed)
     else:
         try:
             r = parse_kind(kind)
@@ -258,12 +216,11 @@ def cmd_subdivide(args, config: dict) -> int:
     return 0
 
 
-def cmd_interlace(args, config: dict) -> int:
-    fmt, _ = _resolve(args, config)
+def cmd_interlace(args) -> int:
     f = parse_poly(args.f)
     g = parse_poly(args.g)
     report = interlace_report(f, g)
-    if fmt == "json":
+    if args.format == "json":
         body = {
             "interlaces": report.ok,
             "reason": report.reason,
@@ -271,7 +228,7 @@ def cmd_interlace(args, config: dict) -> int:
             "g_roots": report.g_isolation.pretty() if report.g_isolation else None,
         }
         print(json.dumps(body, sort_keys=True))
-    elif fmt == "csv":
+    elif args.format == "csv":
         row = [str(report.ok).lower(), report.reason]
         sys.stdout.write(_render_grid(["interlaces", "reason"], [row], "csv"))
     else:
@@ -285,8 +242,7 @@ def cmd_interlace(args, config: dict) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_ftriangle(args, config: dict) -> int:
-    fmt, _ = _resolve(args, config)
+def cmd_ftriangle(args) -> int:
     if (args.input is None) == (args.kind is None):
         raise CliError("give exactly one of --input or --kind")
     if args.input:
@@ -300,18 +256,17 @@ def cmd_ftriangle(args, config: dict) -> int:
         if args.n is None:
             raise CliError("--kind needs --n")
         F = _capped_f_triangle(args.kind, args.n, "ftriangle --kind")
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps({"n": F.n, "rows": [list(r) for r in F.rows]},
                          sort_keys=True))
     else:
         header = [""] + [f"i={i}" for i in range(F.n + 1)]
         rows = [[f"j={j}"] + [str(c) for c in row] for j, row in enumerate(F.rows)]
-        sys.stdout.write(_render_grid(header, rows, fmt))
+        sys.stdout.write(_render_grid(header, rows, args.format))
     return 0
 
 
-def cmd_stat_poly(args, config: dict) -> int:
-    fmt, _ = _resolve(args, config)
+def cmd_stat_poly(args) -> int:
     params = _parse_int_spec(args.params, "--params")
     family = args.family
     try:
@@ -328,7 +283,7 @@ def cmd_stat_poly(args, config: dict) -> int:
                            f"{'2 or 3' if family == 'd' else '2'} parameters")
     except ValueError as err:
         raise CliError(str(err)) from err
-    _emit_poly(poly, fmt, key=name)
+    _emit_poly(poly, args.format, key=name)
     return 0
 
 
@@ -343,24 +298,23 @@ def _report_body(report) -> dict:
     }
 
 
-def cmd_verify(args, config: dict) -> int:
-    fmt, _ = _resolve(args, config)
+def cmd_verify(args) -> int:
     kwargs: dict = {}
-    if args.n:
+    if args.n is not None:
         ns = _parse_int_spec(args.n, "--n")
         kwargs["ns"] = ns
         kwargs["n_max"] = max(ns)
-    if args.seeds:
+    if args.seeds is not None:
         kwargs["seeds"] = _parse_int_spec(args.seeds, "--seeds")
     if args.steps is not None:
         if args.steps < 0:
             raise CliError("--steps must be nonnegative")
         kwargs["steps"] = args.steps
-    if args.r:
+    if args.r is not None:
         rs = _parse_int_spec(args.r, "--r")
         kwargs["rs"] = rs
         kwargs["r_max"] = max(rs)
-    if args.kinds:
+    if args.kinds is not None:
         kwargs["kinds"] = tuple(k.strip() for k in args.kinds.split(","))
     if args.k is not None:
         kwargs["k_max"] = args.k
@@ -368,9 +322,9 @@ def cmd_verify(args, config: dict) -> int:
         report = verify_mod.run_suite(args.suite, **kwargs)
     except ValueError as err:
         raise CliError(str(err)) from err
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps(_report_body(report), sort_keys=True))
-    elif fmt == "csv":
+    elif args.format == "csv":
         rows = [[case.label, str(case.ok).lower(), case.detail]
                 for case in report.cases]
         sys.stdout.write(_render_grid(["case", "ok", "detail"], rows, "csv"))
@@ -388,13 +342,8 @@ def cmd_verify(args, config: dict) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default=None,
-                        help="output format (default from config, else text)")
-    common.add_argument("--config", default=None, metavar="FILE",
-                        help="JSON file pinning prng/max_enum_n and defaults "
-                             "for format/seed")
-    common.add_argument("--seed", type=int, default=None,
-                        help="PRNG seed where randomness is involved")
+    common.add_argument("--format", choices=FORMATS, default="text",
+                        help="output format (default text)")
 
     parser = argparse.ArgumentParser(
         prog="subdiv",
@@ -427,13 +376,15 @@ def build_parser() -> argparse.ArgumentParser:
                             '{"n": n, "c": [[k, j, value], ...]}')
     p.set_defaults(handler=cmd_localh)
 
-    p = sub.add_parser("subdivide", parents=[common],
+    p = sub.add_parser("subdivide",
                        help="apply a subdivision and print the result JSON")
     p.add_argument("--input", required=True, metavar="FILE")
     p.add_argument("--kind", required=True,
                    help="sd | esd:R | stellar:V1,V2,... | random:STEPS; "
                         f"sd and esd:R are limited to {FACETS_CAP} "
                         "refined facets")
+    p.add_argument("--seed", type=int, default=0,
+                   help="PRNG seed for random:STEPS (default 0)")
     p.set_defaults(handler=cmd_subdivide)
 
     p = sub.add_parser("interlace", parents=[common],
@@ -462,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{E_NR_BUDGET}")
     p.set_defaults(handler=cmd_stat_poly)
 
-    p = sub.add_parser("verify", parents=[common],
+    # No prefix matching, so --seed is refused rather than read as --seeds.
+    p = sub.add_parser("verify", parents=[common], allow_abbrev=False,
                        help="run one verification suite")
     p.add_argument("suite", choices=verify_mod.SUITE_NAMES)
     p.add_argument("--n", default=None,
@@ -494,8 +446,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
-        return args.handler(args, config)
+        return args.handler(args)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -572,6 +572,8 @@ def run_suite(suite: str, *, ns=None, seeds=None, steps=None, rs=None,
     if len(items) > CASE_CAP:
         raise ValueError(f"suite {suite} lists more than {CASE_CAP} cases; "
                          "narrow --n, --r, --seeds, --kinds or --k")
+    if not items:
+        raise ValueError(f"suite {suite} lists no cases; widen --n, --r or --k")
     start = time.perf_counter()
     results = [_run_case(item) for item in items]
     results.sort(key=lambda c: tuple((k, repr(v)) for k, v in c.params))

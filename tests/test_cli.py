@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -648,6 +649,30 @@ class TestVerifyCommand:
             "suite": "esd-counterexample",
         }
 
+    @pytest.mark.parametrize("argv", [
+        ["cor-sd", "--k", "0"],
+        ["cor-sd", "--k", "-3"],
+        ["cor-sd", "--n", "0"],
+        ["foata", "--n", "0"],
+        ["prop-dnkj-rec", "--n", "0"],
+    ])
+    def test_empty_suite_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: suite {argv[0]} lists no cases; "
+                       "widen --n, --r or --k\n")
+
+    @pytest.mark.parametrize("suite, flag, err", [
+        ("thm-sd", "--n", "error: cannot parse --n ''\n"),
+        ("thm-sd", "--seeds", "error: cannot parse --seeds ''\n"),
+        ("thm-esd", "--r", "error: cannot parse --r ''\n"),
+        ("thm-uniform", "--kinds",
+         "error: unknown subdivision kind '' (use sd or esd:R)\n"),
+    ])
+    def test_empty_option_value_exits_two(self, capsys, suite, flag, err):
+        assert run(capsys, "verify", suite, flag, "") == (2, "", err)
+
     def test_bad_steps(self, capsys):
         code, _, err = run(capsys, "verify", "thm-sd", "--steps", "-1")
         assert code == 2
@@ -780,57 +805,62 @@ class TestKindEntryPoints:
         assert (out != "") == (code == 0)
 
 
-class TestConfig:
-    def test_format_default_from_config(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"format": "json"}')
-        _, out, _ = run(capsys, "stat-poly", "--family", "E", "--params", "2,2",
-                        "--config", str(cfg))
-        assert json.loads(out) == {"E_{2,2}": ["1", "1"]}
+# One valid call of each subcommand; argparse refuses an unknown option
+# before any file is read, so the input need not exist.
+COMMANDS = {
+    "tables": ["tables", "--which", "1", "--n", "2"],
+    "localh": ["localh", "--input", "tri.json"],
+    "subdivide": ["subdivide", "--input", "tri.json", "--kind", "sd"],
+    "interlace": ["interlace", "1+x", "x"],
+    "ftriangle": ["ftriangle", "--kind", "sd", "--n", "2"],
+    "stat-poly": ["stat-poly", "--family", "d", "--params", "2,1"],
+    "verify": ["verify", "foata", "--n", "2"],
+}
 
-    def test_flag_overrides_config(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"format": "json"}')
-        _, out, _ = run(capsys, "stat-poly", "--family", "E", "--params", "2,2",
-                        "--config", str(cfg), "--format", "text")
-        assert out == "1+x\n"
 
-    def test_prng_pin_accepts_mt19937(self, capsys, simplex3, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"prng": "mt19937", "seed": 5}')
-        code, out, _ = run(capsys, "subdivide", "--input", simplex3,
-                           "--kind", "random:2", "--config", str(cfg))
-        _, direct, _ = run(capsys, "subdivide", "--input", simplex3,
-                           "--kind", "random:2", "--seed", "5")
-        assert code == 0
-        assert out == direct
+def parse_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    return capsys.readouterr().err
 
-    def test_prng_pin_rejects_others(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"prng": "xoshiro256"}')
-        code, _, err = run(capsys, "verify", "foata", "--config", str(cfg))
-        assert code == 2
-        assert "mt19937" in err
 
-    def test_enum_bound_pin_must_match_build(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"max_enum_n": 12}')
-        code, _, err = run(capsys, "verify", "foata", "--config", str(cfg))
-        assert code == 2
-        assert "S_10" in err
+class TestOptionReaders:
+    """Each subcommand accepts only the options it reads."""
 
-    def test_unknown_key_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"colour": "red"}')
-        code, _, err = run(capsys, "verify", "foata", "--config", str(cfg))
-        assert code == 2
-        assert "unknown config key" in err
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_is_gone(self, capsys, command):
+        err = parse_error(capsys, COMMANDS[command] + ["--config", "x.json"])
+        assert "unrecognized arguments: --config x.json" in err
 
-    def test_jobs_key_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"jobs": 2}')
-        code, out, err = run(capsys, "verify", "foata", "--config", str(cfg))
-        assert code == 2
-        assert out == ""
-        assert err == ("error: unknown config key 'jobs'; allowed: prng, "
-                       "max_enum_n, format, seed\n")
+    @pytest.mark.parametrize("command",
+                             [c for c in COMMANDS if c != "subdivide"])
+    def test_seed_only_on_subdivide(self, capsys, command):
+        err = parse_error(capsys, COMMANDS[command] + ["--seed", "5"])
+        assert "unrecognized arguments: --seed 5" in err
+
+    def test_subdivide_has_no_format(self, capsys):
+        err = parse_error(capsys, COMMANDS["subdivide"] + ["--format", "json"])
+        assert "unrecognized arguments: --format json" in err
+
+    def test_subdivide_seed_defaults_to_zero(self, capsys, simplex3):
+        argv = ["subdivide", "--input", simplex3, "--kind", "random:2"]
+        plain = run(capsys, *argv)
+        assert plain[0] == 0
+        assert run(capsys, *argv, "--seed", "0") == plain
+
+
+def readme_commands():
+    """Every ``subdiv`` command in README's ``## Command line`` block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [piece for line in block.splitlines() if line.strip()
+            for piece in line.split(" | ")]
+
+
+@pytest.mark.parametrize("command", readme_commands())
+def test_readme_example_parses(command):
+    words = shlex.split(command, comments=True)
+    assert words[0] == "subdiv"
+    cli_mod.build_parser().parse_args(words[1:])

@@ -83,6 +83,24 @@ class TestReportShape:
             run_suite("thm-esd", **options)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("suite, options", [
+        ("cor-sd", dict(k_max=0)),
+        ("cor-sd", dict(k_max=-3)),
+        ("cor-sd", dict(ns=(0,), n_max=0)),
+        ("foata", dict(ns=(0,), n_max=0)),
+        ("prop-dnkj-rec", dict(ns=(0,), n_max=0)),
+    ])
+    def test_empty_suite_rejected_before_any_case(self, monkeypatch, suite,
+                                                  options):
+        def refuse(item):
+            raise AssertionError("a case ran in a suite that lists none")
+
+        monkeypatch.setattr(verify, "_run_case", refuse)
+        with pytest.raises(ValueError) as err:
+            run_suite(suite, **options)
+        assert str(err.value) == (f"suite {suite} lists no cases; "
+                                  "widen --n, --r or --k")
+
 
 class TestDeterminism:
     def test_repeat_runs_agree(self):
