@@ -11,7 +11,7 @@ is load-bearing.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, repeat
 
 from .poly import Poly, binom, normalize
 
@@ -79,12 +79,16 @@ class SimplicialComplex:
         return len({len(f) for f in self.facets}) <= 1
 
     def face_set(self) -> frozenset[Face]:
-        """All faces, unordered: enough for counting and lookups."""
+        """All faces, unordered: enough for lookups."""
         if self._face_set is None:
-            self._face_set = frozenset(sub for f in self.facets
-                                       for k in range(len(f) + 1)
-                                       for sub in combinations(f, k))
+            self._face_set = frozenset(chain.from_iterable(
+                combinations(f, k) for f in self.facets for k in range(len(f) + 1)))
         return self._face_set
+
+    def faces_of_size(self, k: int) -> set[Face]:
+        """The k-vertex faces, unordered, built afresh on every call so
+        that counting keeps no face set alive."""
+        return set(chain.from_iterable(map(combinations, self.facets, repeat(k))))
 
     def faces(self):
         """All faces in canonical order: by size, then lexicographic."""
@@ -102,10 +106,7 @@ class SimplicialComplex:
         """(f_{-1}, f_0, ..., f_{dim}); the void complex gives ()."""
         if self.is_void:
             return ()
-        counts = [0] * (self.dimension() + 2)
-        for g in self.face_set():
-            counts[len(g)] += 1
-        return tuple(counts)
+        return tuple(len(self.faces_of_size(k)) for k in range(self.dimension() + 2))
 
     def __eq__(self, other):
         return isinstance(other, SimplicialComplex) and self.facets == other.facets
@@ -155,7 +156,8 @@ def _from_sorted_facets(facets, labels: dict[int, str]) -> SimplicialComplex:
             if any(map(set(f).issubset, rarest)):
                 continue
         kept.append(f)
-    kept.sort(key=lambda g: (len(g), g))
+    kept.sort()
+    kept.sort(key=len)  # stable: by size, then lexicographic
     return SimplicialComplex(tuple(kept), labels)
 
 
@@ -229,10 +231,31 @@ def complex_to_json(K: SimplicialComplex) -> dict:
     return out
 
 
-def _expect_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"expected an integer, got {value!r}")
-    return value
+def _all_ints(values) -> bool:
+    """True when every entry is an int and none is a bool.  Exact ints,
+    all that JSON gives, are checked in one C-level pass."""
+    return ({int}.issuperset(map(type, values))
+            or all(isinstance(v, int) and not isinstance(v, bool) for v in values))
+
+
+def _expect_ints(values, path: str) -> None:
+    """Raise at the first entry of ``values`` that is not an int."""
+    if _all_ints(values):
+        return
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise SchemaError(f"{path}/{i}", f"expected an integer, got {v!r}")
+
+
+def _vertex_key(key) -> int | None:
+    """The vertex id that a JSON object key spells, or None unless the
+    key is its canonical form ``str(v)``, the form the package writes,
+    so that two spellings can never name one vertex."""
+    try:
+        v = int(key)
+    except (TypeError, ValueError):
+        return None
+    return v if str(v) == key else None
 
 
 def complex_from_json(obj) -> SimplicialComplex:
@@ -251,7 +274,8 @@ def complex_from_json(obj) -> SimplicialComplex:
     raw_vertices = obj["vertices"]
     if not isinstance(raw_vertices, list):
         raise SchemaError("/vertices", "expected a list")
-    declared = {_expect_int(v, f"/vertices/{i}") for i, v in enumerate(raw_vertices)}
+    _expect_ints(raw_vertices, "/vertices")
+    declared = set(raw_vertices)
     raw_facets = obj["facets"]
     if not isinstance(raw_facets, list):
         raise SchemaError("/facets", "expected a list")
@@ -259,11 +283,12 @@ def complex_from_json(obj) -> SimplicialComplex:
     for i, raw in enumerate(raw_facets):
         if not isinstance(raw, list):
             raise SchemaError(f"/facets/{i}", "expected a list of vertex ids")
-        f = {_expect_int(v, f"/facets/{i}/{j}") for j, v in enumerate(raw)}
+        _expect_ints(raw, f"/facets/{i}")
+        f = set(raw)
         if not f <= declared:
             raise SchemaError(f"/facets/{i}", "facet uses undeclared vertices")
         facets.append(tuple(sorted(f)))
-    used = {v for f in facets for v in f}
+    used = set(chain.from_iterable(facets))
     if used != declared:
         missing = sorted(declared - used)
         raise SchemaError("/vertices", f"vertices {missing} appear in no facet")
@@ -273,10 +298,9 @@ def complex_from_json(obj) -> SimplicialComplex:
         if not isinstance(raw_labels, dict):
             raise SchemaError("/labels", "expected an object")
         for key, val in raw_labels.items():
-            try:
-                v = int(key)
-            except (TypeError, ValueError):
-                raise SchemaError(f"/labels/{key}", "key is not a vertex id") from None
+            v = _vertex_key(key)
+            if v is None:
+                raise SchemaError(f"/labels/{key}", "key is not a vertex id")
             if v not in declared:
                 raise SchemaError(f"/labels/{key}", "label for unknown vertex")
             if not isinstance(val, str):

@@ -11,14 +11,24 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement, permutations
+from itertools import (
+    accumulate,
+    chain,
+    combinations,
+    combinations_with_replacement,
+    permutations,
+    repeat,
+)
 from math import factorial
+from operator import or_
 
 from .complexes import (
     Face,
     SchemaError,
     SimplicialComplex,
+    _all_ints,
     _from_sorted_facets,
+    _vertex_key,
     complex_from_json,
     complex_to_json,
     f_vector_from_h,
@@ -130,20 +140,41 @@ def _restrictions(T: Triangulation) -> dict[Face, Triangulation]:
     return {f: built[f] for f in order}
 
 
+def _flag_pattern(m: int):
+    """Bit masks of the flags of an m-vertex facet, bit i for position i.
+
+    Returns the masks of the nonempty subsets in the order
+    ``combinations`` lists them, size by size, and for each ordering of
+    the m positions, in ``permutations`` order, its prefix masks.
+    """
+    subsets = [sum(1 << i for i in c)
+               for k in range(1, m + 1) for c in combinations(range(m), k)]
+    prefixes = [tuple(accumulate((1 << i for i in order), or_))
+                for order in permutations(range(m))]
+    return subsets, prefixes
+
+
 def barycentric(T: Triangulation) -> Triangulation:
     """Barycentric subdivision of ``T.total``, still over ``T.base``.
 
     One fresh vertex per nonempty face, numbered in the canonical face
     order, so equal inputs give identical outputs.  Facets are the
-    flags of faces inside each facet of ``T.total``.
+    flags of faces inside each facet of ``T.total``: each facet's
+    subsets are numbered once and every flag of an m-vertex facet reads
+    its vertices off the prefix masks of :func:`_flag_pattern`.
     """
     old_faces = [g for g in T.total.faces() if g]
     vertex_of = {g: i for i, g in enumerate(old_faces, start=1)}
+    patterns: dict[int, tuple] = {}
     facets = []
     for h in T.total.facets:
-        for order in permutations(h):
-            facets.append(tuple(vertex_of[tuple(sorted(order[:k]))]
-                                for k in range(1, len(h) + 1)))
+        m = len(h)
+        if m not in patterns:
+            patterns[m] = _flag_pattern(m)
+        subsets, prefixes = patterns[m]
+        subfaces = chain.from_iterable(map(combinations, repeat(h), range(1, m + 1)))
+        ids = dict(zip(subsets, map(vertex_of.__getitem__, subfaces)))
+        facets.extend(tuple(map(ids.__getitem__, p)) for p in prefixes)
     labels = {i: "barycenter of {%s}" % ",".join(map(str, g))
               for g, i in vertex_of.items()}
     carriers = {vertex_of[g]: carrier(T, g) for g in old_faces}
@@ -367,16 +398,18 @@ def face_table(T: Triangulation) -> dict[tuple[int, int], int]:
 def _tabulate_faces(T: Triangulation) -> dict[tuple[int, int], int]:
     vertex_mask = _carrier_masks(T, T.vertex_carrier)
     table: dict[tuple[int, int], int] = {}
-    for g in T.total.face_set():
-        mask = 0
-        for v in g:
-            m = vertex_mask.get(v)
-            if m is None:
-                break
-            mask |= m
-        else:
-            key = (mask, len(g))
-            table[key] = table.get(key, 0) + 1
+    # One size at a time: only that size's face set is alive.
+    for k in range(T.total.dimension() + 2):
+        for g in T.total.faces_of_size(k):
+            mask = 0
+            for v in g:
+                m = vertex_mask.get(v)
+                if m is None:
+                    break
+                mask |= m
+            else:
+                key = (mask, k)
+                table[key] = table.get(key, 0) + 1
     return table
 
 
@@ -557,14 +590,12 @@ def triangulation_from_json(obj) -> Triangulation:
     carriers: dict[int, Face] = {}
     for k, val in raw.items():
         where = f"/carrier/{k}"
-        try:
-            v = int(k)
-        except ValueError:
-            raise SchemaError(where, "key must be an integer vertex id") from None
+        v = _vertex_key(k)
+        if v is None:
+            raise SchemaError(where, "key must be an integer vertex id")
         if v not in vertices:
             raise SchemaError(where, f"{v} is not a vertex of the total complex")
-        if not isinstance(val, list) or not all(
-                isinstance(x, int) and not isinstance(x, bool) for x in val):
+        if not isinstance(val, list) or not _all_ints(val):
             raise SchemaError(where, "carrier must be a list of integers")
         c = face(val)
         if not c or c not in base:

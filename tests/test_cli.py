@@ -431,11 +431,12 @@ class TestInputFacetCap:
         # Checking a carrier against the base lists its 2^18 faces.
         path = self.write(tmp_path, 18, "triangulation")
 
-        def listed(K):
+        def listed(*args):
             raise AssertionError("faces listed before the size check")
 
         monkeypatch.setattr(SimplicialComplex, "faces", listed)
         monkeypatch.setattr(SimplicialComplex, "face_set", listed)
+        monkeypatch.setattr(SimplicialComplex, "faces_of_size", listed)
         assert run(capsys, argv[0], "--input", path, *argv[1:]) == (
             2, "", "error: input has a facet on 18 vertices; the limit is 12\n")
 

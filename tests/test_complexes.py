@@ -1,6 +1,7 @@
 """Simplicial complexes: construction, faces, f/h-vectors, flagness."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -239,6 +240,52 @@ class TestFaceOrderAgainstSort:
         assert list(K.faces()) == sorted_faces(K)
 
 
+def set_f_vector(K: SimplicialComplex) -> tuple:
+    """Oracle for ``f_vector``: faces of the memoized set, counted by size."""
+    if K.is_void:
+        return ()
+    counts = [0] * (K.dimension() + 2)
+    for g in K.face_set():
+        counts[len(g)] += 1
+    return tuple(counts)
+
+
+def stellar_and_sd2_complexes():
+    from subdiv.triangulate import iterated_sd, random_triangulation
+
+    return [random_triangulation(range(1, 6), 6, seed=4).total,
+            iterated_sd(range(1, 5), 2).total]
+
+
+class TestFacesOfSize:
+    """Faces counted one size at a time, against the whole face set."""
+
+    def check(self, K):
+        whole = K.face_set()
+        for k in range(K.dimension() + 3):
+            assert K.faces_of_size(k) == {g for g in whole if len(g) == k}
+        assert K.f_vector() == set_f_vector(K)
+
+    @given(st.lists(st.lists(st.integers(-3, 8), max_size=5), max_size=6))
+    @example([])  # void
+    @example([[]])  # empty
+    @example([[1, 2, 3], [3, 4], [5]])  # non-pure
+    def test_drawn(self, raw):
+        self.check(from_facets(raw))
+
+    @pytest.mark.parametrize("K", stellar_and_sd2_complexes(),
+                             ids=["random-stellar", "sd2"])
+    def test_built(self, K):
+        self.check(K)
+
+    def test_counting_keeps_no_face_set(self):
+        K = full_simplex(range(1, 6))
+        assert K.f_vector() == (1, 5, 10, 10, 5, 1)
+        assert h_polynomial(K) == (1,)
+        assert K._face_set is None and K._faces is None
+        assert K.faces_of_size(2) is not K.faces_of_size(2)
+
+
 class TestVertices:
     @given(
         st.lists(
@@ -464,11 +511,24 @@ class TestJsonRejections:
          "/labels/9", "label for unknown vertex"),
         ({"vertices": [1, 2], "facets": [[2, 1]], "labels": {"1": 5}},
          "/labels/1", "label must be a string"),
+        # a key names a vertex only as str(v), never in another spelling
+        ({"vertices": [1, 2], "facets": [[2, 1]], "labels": {"2": "a", " 2": "b"}},
+         "/labels/ 2", "key is not a vertex id"),
+        ({"vertices": [1, 2], "facets": [[2, 1]], "labels": {"+2": "a"}},
+         "/labels/+2", "key is not a vertex id"),
+        ({"vertices": [1, 2], "facets": [[2, 1]], "labels": {"02": "a"}},
+         "/labels/02", "key is not a vertex id"),
+        ({"vertices": [1, 10], "facets": [[1, 10]], "labels": {"1_0": "a"}},
+         "/labels/1_0", "key is not a vertex id"),
+        ({"vertices": [0, 1], "facets": [[0, 1]], "labels": {"-0": "a"}},
+         "/labels/-0", "key is not a vertex id"),
     ], ids=["not-object", "no-facets", "no-vertices", "vertices-not-list",
             "vertex-not-int", "vertex-bool", "facets-not-list",
             "facet-not-list", "entry-float", "first-bad-entry",
             "undeclared", "type-before-membership", "unused-vertex",
-            "labels-not-object", "label-key", "label-unknown", "label-value"])
+            "labels-not-object", "label-key", "label-unknown", "label-value",
+            "label-key-space", "label-key-plus", "label-key-zero-padded",
+            "label-key-underscore", "label-key-minus-zero"])
     def test_schema_errors(self, obj, path, message):
         with pytest.raises(SchemaError) as err:
             complex_from_json(obj)
@@ -481,3 +541,9 @@ class TestJsonRejections:
         assert K == from_facets([(9, 40), (1, 9)])
         assert K.facets == ((1, 9), (9, 40))
         assert K.labels == {40: "c"}
+
+    def test_canonical_keys_load(self):
+        K = from_facets([(-12, 0, 7, 10)],
+                        labels={-12: "a", 0: "b", 7: "c", 10: "d"})
+        back = complex_from_json(json.loads(json.dumps(complex_to_json(K))))
+        assert back == K and back.labels == K.labels

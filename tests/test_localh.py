@@ -380,6 +380,15 @@ class TestSecondSd:
         assert ell == reverse(ell, n)
         assert all(c >= 0 for c in ell)
 
+    def test_counting_keeps_no_face_set(self):
+        # The face table counts one size at a time; no set of every face
+        # of the 576-facet total is built or kept.
+        T = iterated_sd(range(1, 5), 2)
+        assert local_h(T) == P("75x+303x^2+75x^3")
+        assert T.total._face_set is None
+        assert h_polynomial(T.total) == h_from_local(T)
+        assert T.total._face_set is None
+
 
 # Stanley's definitions read literally, one rebuilt restriction per base
 # face: the slow, independent routes the face-table sums are checked on.
