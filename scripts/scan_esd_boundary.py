@@ -3,9 +3,14 @@
 
 The interlacing theorem needs the dilation parameter r to be at least
 the vertex count n.  This sweep takes the one-point starred simplex,
-applies esd_r across a grid of (n, r), and marks which local
+refines it by esd_r across a grid of (n, r), and marks which local
 h-polynomials are real-rooted.  The r >= n region must be solid; the
 interesting part is how ragged the r < n side is.
+
+Each local h-polynomial is the uniform expansion of the starred
+simplex's coefficient matrix against the face-count triangle of esd_r,
+the identity that ``verify thm-uniform`` checks, so no refined complex
+is built and cells past the library's facet cap cost nothing extra.
 
 Usage: scan_esd_boundary.py [--n-max 7] [--r-max 8]
 """
@@ -14,15 +19,21 @@ from __future__ import annotations
 
 import argparse
 
-from subdiv.localh import local_h
+from subdiv.localh import c_coefficients, local_h_via_uniform
 from subdiv.poly import format_poly
 from subdiv.realroot import is_real_rooted
-from subdiv.triangulate import edgewise, stellar, trivial
+from subdiv.triangulate import f_triangle, stellar, trivial
 
 
 def starred_simplex(n: int):
     verts = tuple(range(1, n + 1))
     return stellar(trivial(verts), verts)
+
+
+def starred_local_h(n: int, r: int):
+    """Local h of esd_r of the starred simplex on n vertices."""
+    return local_h_via_uniform(f_triangle(f"esd:{r}", n),
+                               c_coefficients(starred_simplex(n)))
 
 
 def run() -> None:
@@ -39,7 +50,7 @@ def run() -> None:
     for n in range(2, args.n_max + 1):
         row = []
         for r in range(1, args.r_max + 1):
-            ell = local_h(edgewise(starred_simplex(n), r))
+            ell = starred_local_h(n, r)
             if not ell:
                 mark = "0"
             elif is_real_rooted(ell):

@@ -29,7 +29,7 @@ from .triangulate import (
     Triangulation,
     UnknownKindError,
     _check_input_facets,
-    _refined_facets,
+    check_refinement,
     f_triangle,
     f_triangle_of,
     identity,
@@ -75,13 +75,12 @@ def _parse_int_spec(text: str, what: str) -> tuple[int, ...]:
 
 
 def _capped_f_triangle(kind: str, n: int, what: str) -> FTriangle:
-    """``f_triangle(kind, n)``, refused before building when too large."""
+    """``f_triangle(kind, n)``, refused when the refined simplex would be
+    too large to build, although nothing is built."""
     if n > TABLES_N_CAP:
         raise CliError(f"{what} is limited to n <= {TABLES_N_CAP}")
-    r = None if kind == "trivial" else parse_kind(kind)
-    if r is not None and _refined_facets(trivial(range(1, n + 1)), r) > FACETS_CAP:
-        raise CliError(f"esd:{r} with n = {n} has {r}^{n - 1} "
-                       f"facets; the limit is {FACETS_CAP}")
+    if kind != "trivial":
+        check_refinement(trivial(range(1, n + 1)), kind)
     return f_triangle(kind, n)
 
 
@@ -204,14 +203,10 @@ def cmd_subdivide(args) -> int:
         out = random_triangulation(T.base.vertices, steps, seed=args.seed)
     else:
         try:
-            r = parse_kind(kind)
+            out = refine(T, kind)
         except UnknownKindError:
             raise CliError(f"unknown kind {kind!r} (use sd, esd:R, "
                            f"stellar:V1,V2,..., random:STEPS)") from None
-        if _refined_facets(T, r) > FACETS_CAP:
-            raise CliError(f"subdivide --kind {kind} would build more than "
-                           f"{FACETS_CAP} facets")
-        out = refine(T, kind)
     print(json.dumps(triangulation_to_json(out), sort_keys=True))
     return 0
 
@@ -301,9 +296,7 @@ def _report_body(report) -> dict:
 def cmd_verify(args) -> int:
     kwargs: dict = {}
     if args.n is not None:
-        ns = _parse_int_spec(args.n, "--n")
-        kwargs["ns"] = ns
-        kwargs["n_max"] = max(ns)
+        kwargs["ns"] = _parse_int_spec(args.n, "--n")
     if args.seeds is not None:
         kwargs["seeds"] = _parse_int_spec(args.seeds, "--seeds")
     if args.steps is not None:
@@ -311,9 +304,7 @@ def cmd_verify(args) -> int:
             raise CliError("--steps must be nonnegative")
         kwargs["steps"] = args.steps
     if args.r is not None:
-        rs = _parse_int_spec(args.r, "--r")
-        kwargs["rs"] = rs
-        kwargs["r_max"] = max(rs)
+        kwargs["rs"] = _parse_int_spec(args.r, "--r")
     if args.kinds is not None:
         kwargs["kinds"] = tuple(k.strip() for k in args.kinds.split(","))
     if args.k is not None:

@@ -292,9 +292,21 @@ def reference(kind: str, n: int) -> Poly:
     return E_nr(n, r) if n else (1,)
 
 
-def refine(T: Triangulation, kind: str) -> Triangulation:
-    """Refine ``T.total`` by ``sd`` or ``esd:R``, still over ``T.base``."""
+def check_refinement(T: Triangulation, kind: str) -> int | None:
+    """Parse ``kind`` and refuse it if refining ``T.total`` by it would
+    build more than ``FACETS_CAP`` facets; nothing is built.  Returns
+    what :func:`parse_kind` gives."""
     r = parse_kind(kind)
+    if _refined_facets(T, r) > FACETS_CAP:
+        name = "sd" if r is None else f"esd:{r}"
+        raise ValueError(f"{name} would build more than {FACETS_CAP} facets")
+    return r
+
+
+def refine(T: Triangulation, kind: str) -> Triangulation:
+    """Refine ``T.total`` by ``sd`` or ``esd:R``, still over ``T.base``;
+    :func:`check_refinement` refuses it first past ``FACETS_CAP``."""
+    r = check_refinement(T, kind)
     return barycentric(T) if r is None else edgewise(T, r)
 
 
@@ -345,10 +357,17 @@ def compose(outer: Triangulation, inner: Triangulation) -> Triangulation:
 
 
 def iterated_sd(vertices, k: int) -> Triangulation:
-    """k-fold barycentric subdivision of the simplex on ``vertices``."""
+    """k-fold barycentric subdivision of the simplex on ``vertices``.
+
+    Each step multiplies the facets by n!, so (n!)^k past ``FACETS_CAP``
+    is refused before the first step.  k is clamped where 2^k already
+    passes the cap, as in :func:`_refined_facets`, so a huge k is cheap.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
     T = trivial(vertices)
+    if _refined_facets(T, None) ** min(k, FACETS_CAP.bit_length()) > FACETS_CAP:
+        raise ValueError(f"sd^{k} would build more than {FACETS_CAP} facets")
     for _ in range(k):
         T = barycentric(T)
     return T

@@ -51,9 +51,7 @@ from .triangulate import (
     TABLES_N_CAP,
     FTriangle,
     Triangulation,
-    _refined_facets,
-    barycentric,
-    edgewise,
+    check_refinement,
     f_triangle,
     f_triangle_of,
     iterated_sd,
@@ -70,8 +68,8 @@ DEFAULT_SEEDS = tuple(range(1, 21))
 DEFAULT_NS = (2, 3, 4)
 DEFAULT_STEPS = 6
 DEFAULT_KINDS = ("sd", "esd:2", "esd:3")
-# Cases one run may list.  The range suites expand n_max and r_max to
-# 0..max or 1..max, and the gamma suites multiply ns, seeds and kinds.
+# Cases one run may list.  The range suites expand max(ns) and max(rs)
+# to 0..max or 1..max, and the gamma suites multiply ns, seeds and kinds.
 CASE_CAP = 100_000
 
 COUNTEREXAMPLE = (0, 7, 42, 63, 42, 7)
@@ -115,41 +113,28 @@ class VerifySuiteReport:
 # k = 0 check would compare a Veronese section with itself).
 @lru_cache(maxsize=None)
 def _triangle(kind: str, n: int) -> FTriangle:
-    T = trivial(range(1, n + 1))
-    _refuse_big(T, parse_kind(kind))
-    return f_triangle_of(refine(T, kind))
+    _refuse_big(n, kind)
+    return f_triangle_of(refine(trivial(range(1, n + 1)), kind))
 
 
-def _refuse_big(T: Triangulation, r: int | None) -> None:
-    """Refuse, as ``subdivide`` does, an sd (r None) or esd:r of ``T``
-    past ``FACETS_CAP`` facets; ``edgewise`` rejects r < 1 itself.  Then
-    refuse a base past ``TABLES_N_CAP`` vertices, which esd:1 reaches
-    without tripping the facet count."""
-    if (r is None or r >= 1) and _refined_facets(T, r) > FACETS_CAP:
-        kind = "sd" if r is None else f"esd:{r}"
-        raise ValueError(f"{kind} would build more than {FACETS_CAP} facets")
-    if len(T.base.vertices) > TABLES_N_CAP:
-        raise ValueError(f"a simplex on {len(T.base.vertices)} vertices is "
+def _refuse_big(n: int, kind: str) -> None:
+    """Refuse ``kind`` of the n-vertex simplex past ``FACETS_CAP``
+    facets, before anything is built over it.  Then refuse a simplex
+    past ``TABLES_N_CAP`` vertices, which esd:1 reaches without
+    tripping the facet count."""
+    check_refinement(trivial(range(1, n + 1)), kind)
+    if n > TABLES_N_CAP:
+        raise ValueError(f"a simplex on {n} vertices is "
                          f"past the limit of {TABLES_N_CAP}")
 
 
-def _gamma(n: int, seed: int, steps_cap: int, r: int | None) -> tuple[Triangulation, int]:
+def _gamma(n: int, seed: int, steps_cap: int, kind: str) -> tuple[Triangulation, int]:
     """The case's random triangulation; its facets have n vertices, so
-    :func:`_refuse_big` checks the simplex before it is built."""
-    _refuse_big(trivial(range(1, n + 1)), r)
+    :func:`_refuse_big` checks the simplex before it is built, and
+    ``refine`` checks the triangulation itself."""
+    _refuse_big(n, kind)
     steps = seed % (steps_cap + 1)
-    G = random_triangulation(range(1, n + 1), steps, seed=seed)
-    _refuse_big(G, r)
-    return G, steps
-
-
-def _iterated_sd(n: int, k: int) -> Triangulation:
-    """``iterated_sd`` of the n-vertex simplex, checked first: each sd
-    multiplies the facets by n!."""
-    sd = _refined_facets(trivial(range(1, n + 1)), None)
-    if sd ** k > FACETS_CAP:
-        raise ValueError(f"sd^{k} would build more than {FACETS_CAP} facets")
-    return iterated_sd(range(1, n + 1), k)
+    return random_triangulation(range(1, n + 1), steps, seed=seed), steps
 
 
 def _structural(T: Triangulation, n: int, problems: list[str]) -> Poly:
@@ -198,17 +183,17 @@ def _case_local_theorem(params: dict) -> CaseResult:
     the refined random triangulation is real-rooted and interlaced by
     ``reference``."""
     n, seed, r = params["n"], params["seed"], params.get("r")
-    G, steps = _gamma(n, seed, params["steps"], r)
-    T = barycentric(G) if r is None else edgewise(G, r)
+    kind = "sd" if r is None else f"esd:{r}"
+    G, steps = _gamma(n, seed, params["steps"], kind)
     problems: list[str] = []
-    ell = _structural(T, n, problems)
-    _certify(ell, reference("sd" if r is None else f"esd:{r}", n), problems)
+    ell = _structural(refine(G, kind), n, problems)
+    _certify(ell, reference(kind, n), problems)
     return _result(params, problems, f"steps={steps} ell={format_poly(ell)}")
 
 
 def _case_thm_uniform(params: dict) -> CaseResult:
     n, seed, kind = params["n"], params["seed"], params["kind"]
-    G, steps = _gamma(n, seed, params["steps"], parse_kind(kind))
+    G, steps = _gamma(n, seed, params["steps"], kind)
     T = refine(G, kind)
     problems: list[str] = []
     direct = _structural(T, n, problems)
@@ -235,7 +220,7 @@ def _case_thm_dnkj(params: dict) -> CaseResult:
 
 def _case_cor_sd(params: dict) -> CaseResult:
     n, k = params["n"], params["k"]
-    T = _iterated_sd(n, k)
+    T = iterated_sd(range(1, n + 1), k)
     problems: list[str] = []
     ell = _structural(T, n, problems)
     _certify(ell, reference("sd", n), problems)
@@ -245,7 +230,7 @@ def _case_cor_sd(params: dict) -> CaseResult:
 def _case_cor_2sd(params: dict) -> CaseResult:
     n = params["n"]
     from_stats = second_sd_local_h(n)
-    direct = local_h(_iterated_sd(n, 2))
+    direct = local_h(iterated_sd(range(1, n + 1), 2))
     problems: list[str] = []
     if from_stats != direct:
         problems.append(
@@ -404,7 +389,7 @@ def _case_prop_esdr(params: dict) -> CaseResult:
 def _case_esd_counterexample(params: dict) -> CaseResult:
     n = 6
     verts = tuple(range(1, n + 1))
-    T = edgewise(stellar(trivial(verts), verts), 2)
+    T = refine(stellar(trivial(verts), verts), "esd:2")
     problems: list[str] = []
     ell = _structural(T, n, problems)
     if ell != COUNTEREXAMPLE:
@@ -539,8 +524,11 @@ def _run_case(item: tuple[str, tuple[tuple[str, object], ...]]) -> CaseResult:
 
 
 def run_suite(suite: str, *, ns=None, seeds=None, steps=None, rs=None,
-              kinds=None, n_max=None, k_max=None, r_max=None) -> VerifySuiteReport:
-    """Run one named suite and return its sorted, deterministic report."""
+              kinds=None, k_max=None) -> VerifySuiteReport:
+    """Run one named suite and return its sorted, deterministic report.
+
+    The range suites run up to max(ns) and max(rs), or to their defaults
+    when ns or rs is not given."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(_SUITES)}")
     # sd^k of a simplex on n >= 2 vertices has at least 2^k facets, so
@@ -561,9 +549,9 @@ def run_suite(suite: str, *, ns=None, seeds=None, steps=None, rs=None,
         "steps": DEFAULT_STEPS if steps is None else steps,
         "rs": tuple(rs) if rs else None,
         "kinds": tuple(kinds) if kinds else DEFAULT_KINDS,
-        "n_max": _DEFAULT_N_MAX.get(suite, 6) if n_max is None else n_max,
+        "n_max": max(ns) if ns else _DEFAULT_N_MAX.get(suite, 6),
         "k_max": 2 if k_max is None else k_max,
-        "r_max": 6 if r_max is None else r_max,
+        "r_max": max(rs) if rs else 6,
     }
     # Cases are drawn lazily, so an oversize list is refused before it
     # is built and before any case runs.

@@ -154,8 +154,8 @@ def test_criterion_06_second_subdivision_n5():
 
 def test_criterion_07_d_polynomial_identities(capsys):
     start = time.perf_counter()
-    refined = run_suite("prop-dnkj", n_max=7)
-    rows = run_suite("prop-dnkj-rec", n_max=7)
+    refined = run_suite("prop-dnkj", ns=(7,))
+    rows = run_suite("prop-dnkj-rec", ns=(7,))
     assert refined.ok, [f.label for f in refined.failures]
     assert rows.ok, [f.label for f in rows.failures]
     assert_digest(refined)
@@ -170,7 +170,7 @@ def test_criterion_07_d_polynomial_identities(capsys):
 
 def test_criterion_08_interlacing_sequences(capsys):
     start = time.perf_counter()
-    report = run_suite("thm-dnkj", n_max=6)
+    report = run_suite("thm-dnkj", ns=(6,))
     assert report.ok, [f.label for f in report.failures]
     assert_digest(report)
     elapsed = time.perf_counter() - start
@@ -182,7 +182,7 @@ def test_criterion_08_interlacing_sequences(capsys):
 
 def test_criterion_09_dilation_formulas(capsys):
     start = time.perf_counter()
-    report = run_suite("prop-esdr", n_max=5, r_max=6)
+    report = run_suite("prop-esdr", ns=(5,), rs=(6,))
     assert report.ok, [f.label for f in report.failures]
     assert_digest(report)
     elapsed = time.perf_counter() - start
@@ -194,7 +194,7 @@ def test_criterion_09_dilation_formulas(capsys):
 
 def test_criterion_10_cycle_transform(capsys):
     start = time.perf_counter()
-    report = run_suite("foata", n_max=8)
+    report = run_suite("foata", ns=(8,))
     assert report.ok, [f.label for f in report.failures]
     assert_digest(report)
     elapsed = time.perf_counter() - start

@@ -10,12 +10,16 @@ import sys
 
 import pytest
 
+from subdiv.localh import local_h
+from subdiv.triangulate import edgewise
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("script, args", [
     ("scan_esd_boundary.py", ["--n-max", "3", "--r-max", "3"]),
     ("verify_all.py", ["foata"]),
+    ("scan_esd_boundary.py", []),  # its default grid passes FACETS_CAP
 ])
 def test_script_exits_zero(script, args):
     done = run_script(script, *args)
@@ -30,6 +34,19 @@ def run_script(script, *args):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_scan_cells_match_the_built_refinement():
+    """The scan reads each cell off the uniform expansion; local h of
+    the built esd_r is its oracle."""
+    spec = importlib.util.spec_from_file_location(
+        "scan_esd_boundary", ROOT / "scripts" / "scan_esd_boundary.py")
+    scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scan)
+    for n in range(2, 6):
+        for r in range(1, 5):
+            built = local_h(edgewise(scan.starred_simplex(n), r))
+            assert scan.starred_local_h(n, r) == built, (n, r)
 
 
 def test_verify_all_has_no_jobs_flag():

@@ -19,11 +19,14 @@ from subdiv.complexes import (
 )
 from subdiv.poly import parse_poly
 from subdiv.triangulate import (
+    FACETS_CAP,
     FTriangle,
     NotUniformError,
     Triangulation,
+    _refined_facets,
     barycentric,
     carrier,
+    check_refinement,
     compose,
     edgewise,
     f_triangle,
@@ -620,6 +623,77 @@ class TestKinds:
         assert refine(T, "esd:3") == edgewise(T, 3)
         with pytest.raises(ValueError, match="unknown subdivision kind"):
             refine(T, "trivial")
+
+
+class TestRefinementGuard:
+    """``check_refinement`` trusts ``_refined_facets``; the facets that
+    ``refine`` builds are its oracle."""
+
+    KINDS = ("sd", "esd:1", "esd:2", "esd:3", "esd:4")
+
+    class Reached(Exception):
+        pass
+
+    @pytest.fixture
+    def unbuilt(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise self.Reached
+
+        for name in ("barycentric", "edgewise"):
+            monkeypatch.setattr(triangulate_mod, name, reached)
+
+    def assert_counts(self, T):
+        for kind in self.KINDS:
+            built = len(refine(T, kind).total.facets)
+            assert _refined_facets(T, parse_kind(kind)) == built, kind
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 5), steps=st.integers(0, 3), seed=st.integers(0, 10**6))
+    def test_counts_drawn_bases(self, n, steps, seed):
+        self.assert_counts(random_triangulation(range(1, n + 1), steps, seed=seed))
+
+    @pytest.mark.parametrize("T", [
+        identity(from_facets([(1, 2, 3), (3, 4), (5,)])),
+        identity(from_facets([()])),
+        identity(from_facets([])),
+    ], ids=["non-pure", "empty", "void"])
+    def test_counts_fixed_bases(self, T):
+        self.assert_counts(T)
+
+    @pytest.mark.parametrize("kind, n, count", [
+        ("esd:" + "9" * 4000, 3, (FACETS_CAP + 1) ** 2),
+        ("sd", 9, math.factorial(9)),
+        ("sd", 40, math.factorial(9)),
+    ], ids=["esd-huge-r", "sd-9", "sd-40"])
+    def test_clamped_counts_pass_the_cap_unbuilt(self, unbuilt, kind, n, count):
+        T = trivial(range(1, n + 1))
+        assert _refined_facets(T, parse_kind(kind)) == count > FACETS_CAP
+        with pytest.raises(ValueError) as err:
+            refine(T, kind)
+        assert str(err.value) == f"{kind} would build more than 40320 facets"
+
+    def test_names_the_parsed_kind(self):
+        T = trivial(range(1, 7))
+        assert check_refinement(T, "esd:03") == 3
+        with pytest.raises(ValueError) as err:
+            check_refinement(T, "esd:09")
+        assert str(err.value) == "esd:9 would build more than 40320 facets"
+
+    def test_exactly_the_cap_reaches_the_builder(self, unbuilt):
+        assert check_refinement(trivial(range(1, 9)), "sd") is None
+        with pytest.raises(self.Reached):
+            refine(trivial(range(1, 9)), "sd")
+
+    @pytest.mark.parametrize("n, k", [(9, 1), (6, 2), (2, 16), (3, 10**100)])
+    def test_iterated_sd_refused_before_the_first_step(self, unbuilt, n, k):
+        with pytest.raises(ValueError) as err:
+            iterated_sd(range(1, n + 1), k)
+        assert str(err.value) == f"sd^{k} would build more than 40320 facets"
+
+    @pytest.mark.parametrize("n, k", [(8, 1), (2, 15), (1, 10**100)])
+    def test_iterated_sd_at_the_cap_reaches_the_builder(self, unbuilt, n, k):
+        with pytest.raises(self.Reached):
+            iterated_sd(range(1, n + 1), k)
 
 
 class TestValidationAndJson:

@@ -4,6 +4,7 @@ from itertools import count
 
 import pytest
 
+from subdiv import triangulate as triangulate_mod
 from subdiv import verify
 from subdiv.triangulate import (
     FTriangle,
@@ -18,15 +19,15 @@ SMALL = {
     "thm-sd": dict(ns=(2, 3), seeds=(1, 2, 3)),
     "thm-esd": dict(ns=(2, 3), seeds=(1, 2)),
     "thm-uniform": dict(ns=(2, 3), seeds=(1, 2), kinds=("sd", "esd:2")),
-    "thm-dnkj": dict(n_max=4),
-    "cor-sd": dict(n_max=3),
-    "cor-2sd": dict(n_max=3),
+    "thm-dnkj": dict(ns=(4,)),
+    "cor-sd": dict(ns=(3,)),
+    "cor-2sd": dict(ns=(3,)),
     "prop-lnkj": dict(kinds=("sd",)),
-    "prop-dnkj": dict(n_max=4),
-    "prop-dnkj-rec": dict(n_max=4),
-    "prop-esdr": dict(n_max=3, r_max=3),
+    "prop-dnkj": dict(ns=(4,)),
+    "prop-dnkj-rec": dict(ns=(4,)),
+    "prop-esdr": dict(ns=(3,), rs=(3,)),
     "esd-counterexample": {},
-    "foata": dict(n_max=5),
+    "foata": dict(ns=(5,)),
 }
 
 
@@ -86,9 +87,9 @@ class TestReportShape:
     @pytest.mark.parametrize("suite, options", [
         ("cor-sd", dict(k_max=0)),
         ("cor-sd", dict(k_max=-3)),
-        ("cor-sd", dict(ns=(0,), n_max=0)),
-        ("foata", dict(ns=(0,), n_max=0)),
-        ("prop-dnkj-rec", dict(ns=(0,), n_max=0)),
+        ("cor-sd", dict(ns=(0,))),
+        ("foata", dict(ns=(0,))),
+        ("prop-dnkj-rec", dict(ns=(0,))),
     ])
     def test_empty_suite_rejected_before_any_case(self, monkeypatch, suite,
                                                   options):
@@ -109,7 +110,7 @@ class TestDeterminism:
         assert snapshot(a) == snapshot(b)
 
     def test_cases_sorted_by_key(self):
-        report = run_suite("foata", n_max=4)
+        report = run_suite("foata", ns=(4,))
         keys = [c.params for c in report.cases]
         assert keys == sorted(keys)
 
@@ -130,9 +131,9 @@ class TestAllSuitesSmall:
 class TestCaseCap:
     def test_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(verify, "CASE_CAP", 10)
-        assert run_suite("thm-dnkj", n_max=3).cases_run == 10
+        assert run_suite("thm-dnkj", ns=(3,)).cases_run == 10
         with pytest.raises(ValueError, match="more than 10 cases"):
-            run_suite("thm-dnkj", n_max=4)
+            run_suite("thm-dnkj", ns=(4,))
 
     def test_cases_are_drawn_lazily(self, monkeypatch):
         def never(params):
@@ -311,16 +312,17 @@ class TestFacetCap:
     """verify refuses builds past FACETS_CAP facets, as the CLI does,
     before any builder runs."""
 
-    BUILDERS = ("f_triangle", "refine", "barycentric", "edgewise",
-                "iterated_sd", "random_triangulation")
-
     @staticmethod
-    def refuse_builders(monkeypatch, names):
+    def refuse_builders(monkeypatch, draw=True):
+        """Make the primitives that ``refine`` and ``iterated_sd`` call
+        raise, and verify's ``random_triangulation`` too if ``draw``."""
         def refuse(*args, **kwargs):
             raise AssertionError("a builder ran before the size check")
 
-        for name in names:
-            monkeypatch.setattr(verify, name, refuse)
+        monkeypatch.setattr(triangulate_mod, "barycentric", refuse)
+        monkeypatch.setattr(triangulate_mod, "edgewise", refuse)
+        if draw:
+            monkeypatch.setattr(verify, "random_triangulation", refuse)
         verify._triangle.cache_clear()
 
     @pytest.mark.parametrize("suite, params, what", [
@@ -338,7 +340,7 @@ class TestFacetCap:
     ], ids=["prop-lnkj", "prop-dnkj-a", "prop-dnkj-b", "prop-esdr", "cor-sd-k2",
             "cor-sd-k1", "cor-2sd", "thm-sd", "thm-esd", "thm-uniform"])
     def test_refused_before_building(self, monkeypatch, suite, params, what):
-        self.refuse_builders(monkeypatch, self.BUILDERS)
+        self.refuse_builders(monkeypatch)
         case = verify._run_case((suite, params))
         assert not case.ok
         assert case.detail == (f"raised ValueError: {what} would build more "
@@ -346,7 +348,7 @@ class TestFacetCap:
 
     def test_refinement_of_gamma_is_counted(self, monkeypatch):
         # seed 1 takes one stellar step: 2 facets, so sd builds 2 * 8!.
-        self.refuse_builders(monkeypatch, ("barycentric",))
+        self.refuse_builders(monkeypatch, draw=False)
         case = verify._run_case(
             ("thm-sd", (("n", 8), ("seed", 1), ("steps", 6))))
         assert case.detail == ("raised ValueError: sd would build more than "
@@ -358,15 +360,16 @@ class TestFacetCap:
         ("thm-sd", (("n", 8), ("seed", 7), ("steps", 6))),
     ], ids=["sd-triangle", "iterated-sd", "gamma"])
     def test_exactly_the_cap_reaches_the_builder(self, monkeypatch, suite, params):
-        self.refuse_builders(monkeypatch, self.BUILDERS[:-1])
+        self.refuse_builders(monkeypatch, draw=False)
         case = verify._run_case((suite, params))
         assert case.detail == ("raised AssertionError: a builder ran before "
                                "the size check")
 
-    def test_below_r_one_is_left_to_edgewise(self):
+    def test_below_r_one_is_refused_by_parse_kind(self):
         case = verify._run_case(
             ("thm-esd", (("n", 3), ("r", -300), ("seed", 7), ("steps", 6))))
-        assert case.detail == "raised ValueError: r must be a positive integer"
+        assert case.detail == ("raised ValueError: edgewise parameter must "
+                               "be at least 1")
 
 
 class TestSimplexCap:
@@ -378,14 +381,14 @@ class TestSimplexCap:
         ("thm-esd", (("n", 9), ("r", 1), ("seed", 7), ("steps", 6))),
     ], ids=["prop-esdr", "thm-esd"])
     def test_refused_before_building(self, monkeypatch, suite, params):
-        TestFacetCap.refuse_builders(monkeypatch, TestFacetCap.BUILDERS)
+        TestFacetCap.refuse_builders(monkeypatch)
         case = verify._run_case((suite, params))
         assert not case.ok
         assert case.detail == ("raised ValueError: a simplex on 9 vertices "
                                "is past the limit of 8")
 
     def test_eight_vertices_reach_the_builder(self, monkeypatch):
-        TestFacetCap.refuse_builders(monkeypatch, TestFacetCap.BUILDERS)
+        TestFacetCap.refuse_builders(monkeypatch)
         case = verify._run_case(("prop-esdr", (("n", 8), ("r", 1))))
         assert case.detail == ("raised AssertionError: a builder ran before "
                                "the size check")
@@ -404,6 +407,6 @@ class TestStepsAndKCaps:
 
         monkeypatch.setattr(verify, "_run_case", refuse)
         with pytest.raises(ValueError) as err:
-            run_suite("cor-sd", n_max=1, k_max=16)
+            run_suite("cor-sd", ns=(1,), k_max=16)
         assert str(err.value) == ("k is limited to 15: sd^k has at least 2^k "
                                   "facets and the limit is 40320")
