@@ -69,8 +69,6 @@ def _parse_int_spec(text: str, what: str) -> tuple[int, ...]:
         if len(out) + b - a + 1 > INT_SPEC_CAP:
             raise CliError(f"{what} {text!r} lists more than {INT_SPEC_CAP} values")
         out.extend(range(a, b + 1))
-    if not out:
-        raise CliError(f"empty {what}")
     return tuple(out)
 
 
@@ -294,23 +292,14 @@ def _report_body(report) -> dict:
 
 
 def cmd_verify(args) -> int:
-    kwargs: dict = {}
-    if args.n is not None:
-        kwargs["ns"] = _parse_int_spec(args.n, "--n")
-    if args.seeds is not None:
-        kwargs["seeds"] = _parse_int_spec(args.seeds, "--seeds")
-    if args.steps is not None:
-        if args.steps < 0:
-            raise CliError("--steps must be nonnegative")
-        kwargs["steps"] = args.steps
-    if args.r is not None:
-        kwargs["rs"] = _parse_int_spec(args.r, "--r")
-    if args.kinds is not None:
-        kwargs["kinds"] = tuple(k.strip() for k in args.kinds.split(","))
-    if args.k is not None:
-        kwargs["k_max"] = args.k
+    def ints(text, flag):
+        return None if text is None else _parse_int_spec(text, flag)
+
+    kinds = None if args.kinds is None else tuple(map(str.strip, args.kinds.split(",")))
     try:
-        report = verify_mod.run_suite(args.suite, **kwargs)
+        report = verify_mod.run_suite(
+            args.suite, ns=ints(args.n, "--n"), seeds=ints(args.seeds, "--seeds"),
+            steps=args.steps, rs=ints(args.r, "--r"), kinds=kinds, k_max=args.k)
     except ValueError as err:
         raise CliError(str(err)) from err
     if args.format == "json":

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .poly import Poly, degree, derivative, eval_at, normalize, sub
 
@@ -396,25 +396,26 @@ def interlaces(f: Poly, g: Poly) -> bool:
 
 @dataclass(frozen=True)
 class InterlaceReport:
-    """Outcome of an interlacing test with isolation evidence."""
+    """Outcome of an interlacing test; roots are isolated on first read."""
 
     ok: bool
     reason: str
-    f_isolation: RootIsolation | None
-    g_isolation: RootIsolation | None
+    f: Poly
+    g: Poly
+
+    @cached_property
+    def f_isolation(self) -> RootIsolation | None:
+        return isolate_roots(self.f) if self.f and is_real_rooted(self.f) else None
+
+    @cached_property
+    def g_isolation(self) -> RootIsolation | None:
+        return isolate_roots(self.g) if self.g and is_real_rooted(self.g) else None
 
 
 def interlace_report(f: Poly, g: Poly) -> InterlaceReport:
     """Like ``interlaces`` but keeps the evidence for display."""
     f, g = normalize(f), normalize(g)
-    ok, reason = _interlace_core(f, g)
-
-    def iso(p: Poly) -> RootIsolation | None:
-        if not p or not is_real_rooted(p):
-            return None
-        return isolate_roots(p)
-
-    return InterlaceReport(ok, reason, iso(f), iso(g))
+    return InterlaceReport(*_interlace_core(f, g), f, g)
 
 
 def is_interlacing_sequence(fs) -> bool:

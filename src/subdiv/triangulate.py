@@ -361,14 +361,15 @@ def iterated_sd(vertices, k: int) -> Triangulation:
 
     Each step multiplies the facets by n!, so (n!)^k past ``FACETS_CAP``
     is refused before the first step.  k is clamped where 2^k already
-    passes the cap, as in :func:`_refined_facets`, so a huge k is cheap.
+    passes the cap, as in :func:`_refined_facets`, so a huge k is cheap;
+    on at most one vertex sd changes nothing after its first step.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     T = trivial(vertices)
     if _refined_facets(T, None) ** min(k, FACETS_CAP.bit_length()) > FACETS_CAP:
         raise ValueError(f"sd^{k} would build more than {FACETS_CAP} facets")
-    for _ in range(k):
+    for _ in range(k if len(T.base.vertices) > 1 else min(k, 1)):
         T = barycentric(T)
     return T
 

@@ -64,10 +64,6 @@ from .triangulate import (
     validate_triangulation,
 )
 
-DEFAULT_SEEDS = tuple(range(1, 21))
-DEFAULT_NS = (2, 3, 4)
-DEFAULT_STEPS = 6
-DEFAULT_KINDS = ("sd", "esd:2", "esd:3")
 # Cases one run may list.  The range suites expand max(ns) and max(rs)
 # to 0..max or 1..max, and the gamma suites multiply ns, seeds and kinds.
 CASE_CAP = 100_000
@@ -426,89 +422,99 @@ def _cases_gamma_family(o, extra=lambda n: [{}]):
                 yield {"n": n, "seed": seed, "steps": o["steps"], **added}
 
 
+# name -> (description, the options the suite reads with their defaults,
+# case generator over those options, case function).  The gamma suites
+# share the defaults of ns, seeds and steps.
+_GAMMA = {"ns": (2, 3, 4), "seeds": tuple(range(1, 21)), "steps": 6}
 _SUITES = {
     "thm-sd": (
         "barycentric local h real-rooted and interlaced by the Eulerian polynomial",
-        lambda o: _cases_gamma_family(o),
+        _GAMMA,
+        _cases_gamma_family,
         _case_local_theorem,
     ),
     "thm-esd": (
         "edgewise local h real-rooted and interlaced by the word polynomial (r >= n)",
-        # r = n, n+1, n+2 by default; esd:r needs r >= 1, so n = 0 runs r = 1, 2.
+        # rs None runs r = n, n+1, n+2; esd:r needs r >= 1, so n = 0 runs r = 1, 2.
+        {**_GAMMA, "rs": None},
         lambda o: _cases_gamma_family(
             o, lambda n: [{"r": r} for r in (o["rs"] or range(max(n, 1), n + 3))]),
         _case_local_theorem,
     ),
     "thm-uniform": (
         "local h of a uniform refinement equals its weighted expansion",
+        {**_GAMMA, "kinds": ("sd", "esd:2", "esd:3")},
         lambda o: _cases_gamma_family(o, lambda n: [{"kind": k} for k in o["kinds"]]),
         _case_thm_uniform,
     ),
     "thm-dnkj": (
         "(d_nkj)_j interlacing sequences, interlaced by the Eulerian polynomial",
+        {"ns": (6,)},
         lambda o: ({"n": n, "k": k}
-                   for n in range(o["n_max"] + 1) for k in range(n + 1)),
+                   for n in range(max(o["ns"]) + 1) for k in range(n + 1)),
         _case_thm_dnkj,
     ),
     "cor-sd": (
         "iterated barycentric local h real-rooted and Eulerian-interlaced",
+        {"ns": (4,), "k_max": 2},
         lambda o: ({"n": n, "k": k}
-                   for n in range(1, o["n_max"] + 1)
+                   for n in range(1, max(o["ns"]) + 1)
                    for k in range(1, o["k_max"] + 1)),
         _case_cor_sd,
     ),
     "cor-2sd": (
         "second barycentric local h equals its permutation expansion",
-        lambda o: ({"n": n} for n in range(o["n_max"] + 1)),
+        {"ns": (4,)},
+        lambda o: ({"n": n} for n in range(max(o["ns"]) + 1)),
         _case_cor_2sd,
     ),
     "prop-lnkj": (
         "structure of the two-parameter family: positivity, reversal, recurrences",
+        {"kinds": ("sd", "esd:2", "esd:3")},
         lambda o: ({"kind": kind, "size": 5 if kind.endswith(":3") else 6, "part": p}
                    for kind in o["kinds"] for p in "abcdef"),
         _case_prop_lnkj,
     ),
     "prop-dnkj": (
         "properties of the position-refined d-polynomials",
+        {"ns": (7,)},
         lambda o: ({"n": n, "part": p}
-                   for n in range(o["n_max"] + 1) for p in "abcdefg"),
+                   for n in range(max(o["ns"]) + 1) for p in "abcdefg"),
         _case_prop_dnkj,
     ),
     "prop-dnkj-rec": (
         "row recurrences generating d_nkj from size n-1",
+        {"ns": (7,)},
         lambda o: ({"n": n, "part": p}
-                   for n in range(1, o["n_max"] + 1) for p in "ab"),
+                   for n in range(1, max(o["ns"]) + 1) for p in "ab"),
         _case_prop_dnkj_rec,
     ),
     "prop-esdr": (
         "closed dilation-count formulas for the edgewise families",
-        lambda o: ({"n": n, "r": r}
-                   for n in range(1, o["n_max"] + 1) for r in range(1, o["r_max"] + 1)),
+        {"ns": (5,), "rs": (6,)},
+        lambda o: ({"n": n, "r": r} for n in range(1, max(o["ns"]) + 1)
+                   for r in range(1, max(o["rs"]) + 1)),
         _case_prop_esdr,
     ),
     "esd-counterexample": (
         "the halved stellar simplex: exact value, not real-rooted",
+        {},
         lambda o: [{"input": "esd_2(stellar simplex), n=6"}],
         _case_esd_counterexample,
     ),
     "foata": (
         "cycle-notation transform: excedances, fixed points, position of 1",
-        lambda o: ({"n": n} for n in range(1, o["n_max"] + 1)),
+        {"ns": (8,)},
+        lambda o: ({"n": n} for n in range(1, max(o["ns"]) + 1)),
         _case_foata,
     ),
 }
 
 SUITE_NAMES = tuple(_SUITES)
 
-_DEFAULT_N_MAX = {
-    "thm-dnkj": 6,
-    "cor-sd": 4,
-    "cor-2sd": 4,
-    "prop-dnkj": 7,
-    "prop-dnkj-rec": 7,
-    "prop-esdr": 5,
-    "foata": 8,
-}
+# run_suite's option keywords in signature order, with the CLI flag of each.
+_FLAGS = {"ns": "--n", "seeds": "--seeds", "steps": "--steps", "rs": "--r",
+          "kinds": "--kinds", "k_max": "--k"}
 
 
 def suite_description(suite: str) -> str:
@@ -518,7 +524,7 @@ def suite_description(suite: str) -> str:
 def _run_case(item: tuple[str, tuple[tuple[str, object], ...]]) -> CaseResult:
     suite, params = item
     try:
-        return _SUITES[suite][2](dict(params))
+        return _SUITES[suite][3](dict(params))
     except Exception as err:  # a crashing case must not abort its siblings
         return CaseResult(params, False, f"raised {type(err).__name__}: {err}")
 
@@ -527,36 +533,38 @@ def run_suite(suite: str, *, ns=None, seeds=None, steps=None, rs=None,
               kinds=None, k_max=None) -> VerifySuiteReport:
     """Run one named suite and return its sorted, deterministic report.
 
-    The range suites run up to max(ns) and max(rs), or to their defaults
-    when ns or rs is not given."""
+    An option the suite's ``_SUITES`` entry does not list is refused before
+    any other check; an option not given takes the entry's default."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(_SUITES)}")
+    _, defaults, cases, _ = _SUITES[suite]
+    given = {key: value if isinstance(value, int) else tuple(value) for key, value
+             in zip(_FLAGS, (ns, seeds, steps, rs, kinds, k_max)) if value is not None}
+    for key in given:
+        if key not in defaults:
+            raise ValueError(f"suite {suite} does not read {_FLAGS[key]}; it reads "
+                             + (", ".join(map(_FLAGS.get, defaults)) or "no option"))
+    if () in given.values():
+        raise ValueError("an option given lists no value")
+    o = {**defaults, **given}
+    if o.get("steps", 0) < 0:
+        raise ValueError("--steps must be nonnegative")
     # sd^k of a simplex on n >= 2 vertices has at least 2^k facets, so
     # a larger k is refused there; at n = 1, sd^k is just a point.
     top_k = FACETS_CAP.bit_length() - 1
-    if k_max is not None and k_max > top_k:
+    if o.get("k_max", 0) > top_k:
         raise ValueError(f"k is limited to {top_k}: sd^k has at least 2^k "
                          f"facets and the limit is {FACETS_CAP}")
-    if any(n < 0 for n in ns or ()):
+    if any(n < 0 for n in o.get("ns", ())):
         raise ValueError("n must be nonnegative")
-    for kind in kinds or ():
+    for kind in o.get("kinds", ()):
         parse_kind(kind)
-    for r in rs or ():
+    for r in o.get("rs") or ():
         parse_kind(f"esd:{r}")
-    options = {
-        "ns": tuple(ns) if ns else DEFAULT_NS,
-        "seeds": tuple(seeds) if seeds else DEFAULT_SEEDS,
-        "steps": DEFAULT_STEPS if steps is None else steps,
-        "rs": tuple(rs) if rs else None,
-        "kinds": tuple(kinds) if kinds else DEFAULT_KINDS,
-        "n_max": max(ns) if ns else _DEFAULT_N_MAX.get(suite, 6),
-        "k_max": 2 if k_max is None else k_max,
-        "r_max": max(rs) if rs else 6,
-    }
     # Cases are drawn lazily, so an oversize list is refused before it
     # is built and before any case runs.
     items = [(suite, tuple(sorted(case.items())))
-             for case in islice(_SUITES[suite][1](options), CASE_CAP + 1)]
+             for case in islice(cases(o), CASE_CAP + 1)]
     if len(items) > CASE_CAP:
         raise ValueError(f"suite {suite} lists more than {CASE_CAP} cases; "
                          "narrow --n, --r, --seeds, --kinds or --k")

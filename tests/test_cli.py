@@ -12,7 +12,9 @@ import sys
 import pytest
 
 from subdiv import cli as cli_mod
+from subdiv import realroot as realroot_mod
 from subdiv import triangulate as triangulate_mod
+from subdiv import verify as verify_mod
 from subdiv.cli import main
 from subdiv.complexes import SimplicialComplex
 from subdiv.localh import second_sd_local_h
@@ -257,6 +259,47 @@ class TestSubdivide:
         assert out == "541x+5381x^2+5381x^3+541x^4\n"
 
 
+# interlace F G with --explain, and the json body: the pinned bytes of
+# both formats.
+PINNED_INTERLACE = [
+    ("1+4x+x^2", "x+4x^2+x^3", 0,
+     "true\nreason: roots weakly alternate\n"
+     "roots of f: (-5, -5/2), (-5/2, 0)\n"
+     "roots of g: (-5, -5/2), (-5/16, -5/32), 0\n",
+     '"f_roots": "(-5, -5/2), (-5/2, 0)", '
+     '"g_roots": "(-5, -5/2), (-5/16, -5/32), 0", '
+     '"interlaces": true, "reason": "roots weakly alternate"'),
+    ("1+4x+x^2", "1+x^2", 1,
+     "false\nreason: second polynomial is not real-rooted\n"
+     "roots of f: (-5, -5/2), (-5/2, 0)\n",
+     '"f_roots": "(-5, -5/2), (-5/2, 0)", "g_roots": null, '
+     '"interlaces": false, "reason": "second polynomial is not real-rooted"'),
+    ("2+3x+x^2", "2+5x+4x^2+x^3", 0,
+     "true\nreason: roots weakly alternate\n"
+     "roots of f: -2, -1\nroots of g: -2, -1 x2\n",
+     '"f_roots": "-2, -1", "g_roots": "-2, -1 x2", '
+     '"interlaces": true, "reason": "roots weakly alternate"'),
+    ("x^2-2", "x+x^2-3", 1,
+     "false\nreason: root alternation fails\n"
+     "roots of f: (-3, 0), (0, 3)\nroots of g: (-4, 0), (0, 4)\n",
+     '"f_roots": "(-3, 0), (0, 3)", "g_roots": "(-4, 0), (0, 4)", '
+     '"interlaces": false, "reason": "root alternation fails"'),
+    ("1+2x+x^2", "1+x", 1,
+     "false\nreason: degree 2 outside window [0, 1]\n"
+     "roots of f: -1 x2\nroots of g: -1\n",
+     '"f_roots": "-1 x2", "g_roots": "-1", '
+     '"interlaces": false, "reason": "degree 2 outside window [0, 1]"'),
+]
+
+
+def pinned_csv(explain):
+    ok, reason = explain.splitlines()[:2]
+    reason = reason.removeprefix("reason: ")
+    if "," in reason:
+        reason = f'"{reason}"'
+    return f"interlaces,reason\r\n{ok},{reason}\r\n"
+
+
 class TestInterlace:
     def test_true_case(self, capsys):
         code, out, _ = run(capsys, "interlace", "1+4x+x^2", "x+4x^2+x^3")
@@ -285,45 +328,25 @@ class TestInterlace:
         assert code == 2
         assert "error" in err
 
-    @pytest.mark.parametrize("f, g, code, explain, body", [
-        ("1+4x+x^2", "x+4x^2+x^3", 0,
-         "true\nreason: roots weakly alternate\n"
-         "roots of f: (-5, -5/2), (-5/2, 0)\n"
-         "roots of g: (-5, -5/2), (-5/16, -5/32), 0\n",
-         '"f_roots": "(-5, -5/2), (-5/2, 0)", '
-         '"g_roots": "(-5, -5/2), (-5/16, -5/32), 0", '
-         '"interlaces": true, "reason": "roots weakly alternate"'),
-        ("1+4x+x^2", "1+x^2", 1,
-         "false\nreason: second polynomial is not real-rooted\n"
-         "roots of f: (-5, -5/2), (-5/2, 0)\n",
-         '"f_roots": "(-5, -5/2), (-5/2, 0)", "g_roots": null, '
-         '"interlaces": false, "reason": "second polynomial is not real-rooted"'),
-        ("2+3x+x^2", "2+5x+4x^2+x^3", 0,
-         "true\nreason: roots weakly alternate\n"
-         "roots of f: -2, -1\nroots of g: -2, -1 x2\n",
-         '"f_roots": "-2, -1", "g_roots": "-2, -1 x2", '
-         '"interlaces": true, "reason": "roots weakly alternate"'),
-        ("x^2-2", "x+x^2-3", 1,
-         "false\nreason: root alternation fails\n"
-         "roots of f: (-3, 0), (0, 3)\nroots of g: (-4, 0), (0, 4)\n",
-         '"f_roots": "(-3, 0), (0, 3)", "g_roots": "(-4, 0), (0, 4)", '
-         '"interlaces": false, "reason": "root alternation fails"'),
-        ("1+2x+x^2", "1+x", 1,
-         "false\nreason: degree 2 outside window [0, 1]\n"
-         "roots of f: -1 x2\nroots of g: -1\n",
-         '"f_roots": "-1 x2", "g_roots": "-1", '
-         '"interlaces": false, "reason": "degree 2 outside window [0, 1]"'),
-    ])
+    @pytest.mark.parametrize("f, g, code, explain, body", PINNED_INTERLACE)
     def test_pinned_stdout(self, capsys, f, g, code, explain, body):
         assert run(capsys, "interlace", f, g, "--explain") == (code, explain, "")
         assert run(capsys, "interlace", f, g, "--format", "json") == (
             code, "{" + body + "}\n", "")
-        ok, reason = explain.splitlines()[:2]
-        reason = reason.removeprefix("reason: ")
-        if "," in reason:
-            reason = f'"{reason}"'
         assert run(capsys, "interlace", f, g, "--format", "csv") == (
-            code, f"interlaces,reason\r\n{ok},{reason}\r\n", "")
+            code, pinned_csv(explain), "")
+
+    @pytest.mark.parametrize("f, g, code, explain, body", PINNED_INTERLACE)
+    def test_answer_alone_isolates_no_roots(self, capsys, monkeypatch, f, g,
+                                            code, explain, body):
+        def refuse(p):
+            raise AssertionError("roots isolated for output that prints none")
+
+        monkeypatch.setattr(realroot_mod, "isolate_roots", refuse)
+        assert run(capsys, "interlace", f, g) == (
+            code, explain.splitlines()[0] + "\n", "")
+        assert run(capsys, "interlace", f, g, "--format", "csv") == (
+            code, pinned_csv(explain), "")
 
 
 class TestFTriangle:
@@ -678,8 +701,8 @@ class TestVerifyCommand:
         assert run(capsys, "verify", suite, flag, "") == (2, "", err)
 
     def test_bad_steps(self, capsys):
-        code, _, err = run(capsys, "verify", "thm-sd", "--steps", "-1")
-        assert code == 2
+        assert run(capsys, "verify", "thm-sd", "--steps", "-1") == (
+            2, "", "error: --steps must be nonnegative\n")
 
     def test_k_past_the_cap(self, capsys):
         code, out, err = run(capsys, "verify", "cor-sd", "--n", "1", "--k", "16")
@@ -729,6 +752,56 @@ class TestVerifyCommand:
         done = run_python("-c", probe)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
+
+
+# The options each suite reads, in the order its refusal lists them: 21
+# of the 72 (suite, option) pairs.  Any other option exits 2.
+READS = {
+    "thm-sd": ("--n", "--seeds", "--steps"),
+    "thm-esd": ("--n", "--seeds", "--steps", "--r"),
+    "thm-uniform": ("--n", "--seeds", "--steps", "--kinds"),
+    "thm-dnkj": ("--n",),
+    "cor-sd": ("--n", "--k"),
+    "cor-2sd": ("--n",),
+    "prop-lnkj": ("--kinds",),
+    "prop-dnkj": ("--n",),
+    "prop-dnkj-rec": ("--n",),
+    "prop-esdr": ("--n", "--r"),
+    "esd-counterexample": (),
+    "foata": ("--n",),
+}
+# A value of each option that no suite has as its default.
+OPTION_VALUES = {"--n": "2", "--seeds": "1", "--steps": "1", "--r": "2",
+                 "--kinds": "sd", "--k": "1"}
+
+
+class TestSuiteOptions:
+    def test_read_pairs(self):
+        assert set(READS) == set(verify_mod.SUITE_NAMES)
+        assert sum(map(len, READS.values())) == 21
+
+    @pytest.mark.parametrize("flag", OPTION_VALUES)
+    @pytest.mark.parametrize("suite", verify_mod.SUITE_NAMES)
+    def test_option(self, capsys, monkeypatch, suite, flag):
+        # Stub cases, so that the lists of cases are compared and none runs.
+        monkeypatch.setattr(verify_mod, "_run_case",
+                            lambda item: CaseResult(item[1], True, "stub"))
+        code, bare, _ = run(capsys, "verify", suite, "--verbose")
+        assert code == 0
+        argv = ["verify", suite, flag, OPTION_VALUES[flag], "--verbose"]
+        if flag in READS[suite]:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert out != bare
+            return
+
+        def refuse(item):
+            raise AssertionError("a case ran before the option was refused")
+
+        monkeypatch.setattr(verify_mod, "_run_case", refuse)
+        reads = ", ".join(READS[suite]) or "no option"
+        assert run(capsys, *argv) == (
+            2, "", f"error: suite {suite} does not read {flag}; it reads {reads}\n")
 
 
 def _kind_argv(entry, simplex, kind):

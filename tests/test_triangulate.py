@@ -454,6 +454,24 @@ class TestCompose:
         assert T.total.f_vector() == (1, 5, 4)
         assert T.base == full_simplex((1, 2))
 
+    @pytest.mark.parametrize("vertices", [(), (1,)])
+    def test_iterated_sd_of_a_point_takes_one_step(self, monkeypatch, vertices):
+        # sd of a point or of the empty simplex is itself, so a huge k
+        # builds what k = 1 builds, in one step.
+        once = iterated_sd(vertices, 1)
+        steps = []
+
+        def counted(T):
+            steps.append(T)
+            assert len(steps) == 1, "a second step on a point"
+            return barycentric(T)
+
+        monkeypatch.setattr(triangulate_mod, "barycentric", counted)
+        T = iterated_sd(vertices, 10**9)
+        assert triangulation_to_json(T) == triangulation_to_json(once)
+        assert T.total.labels == once.total.labels
+        assert T.vertex_carrier == once.vertex_carrier
+
 
 class TestRandom:
     def test_zero_steps(self):

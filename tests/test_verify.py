@@ -84,6 +84,31 @@ class TestReportShape:
             run_suite("thm-esd", **options)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("suite, options, message", [
+        ("thm-sd", dict(steps=-1), "--steps must be nonnegative"),
+        ("thm-esd", dict(steps=-3), "--steps must be nonnegative"),
+        ("thm-sd", dict(ns=()), "an option given lists no value"),
+        ("foata", dict(ns=[]), "an option given lists no value"),
+        ("prop-esdr", dict(rs=()), "an option given lists no value"),
+        ("foata", dict(ns=(), seeds=(1,)),
+         "suite foata does not read --seeds; it reads --n"),
+        ("esd-counterexample", dict(k_max=99),
+         "suite esd-counterexample does not read --k; it reads no option"),
+    ])
+    def test_bad_option_rejected_before_any_case(self, monkeypatch, suite,
+                                                 options, message):
+        def refuse(item):
+            raise AssertionError("a case ran before the options were checked")
+
+        monkeypatch.setattr(verify, "_run_case", refuse)
+        with pytest.raises(ValueError) as err:
+            run_suite(suite, **options)
+        assert str(err.value) == message
+
+    def test_misspelt_option_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            run_suite("foata", n=(3,))
+
     @pytest.mark.parametrize("suite, options", [
         ("cor-sd", dict(k_max=0)),
         ("cor-sd", dict(k_max=-3)),
@@ -141,7 +166,7 @@ class TestCaseCap:
 
         monkeypatch.setitem(
             verify._SUITES, "endless",
-            ("endless", lambda o: ({"n": n} for n in count()), never))
+            ("endless", {}, lambda o: ({"n": n} for n in count()), never))
         with pytest.raises(ValueError, match="more than 100000 cases"):
             run_suite("endless")
 
@@ -153,7 +178,7 @@ class TestFailureDetection:
 
         monkeypatch.setitem(
             verify._SUITES, "stub",
-            ("forced failure", lambda o: [{"n": n} for n in (1, 2, 3)], runner))
+            ("forced failure", {}, lambda o: [{"n": n} for n in (1, 2, 3)], runner))
         report = run_suite("stub")
         assert not report.ok
         assert len(report.failures) == 1
