@@ -24,22 +24,19 @@ from .realroot import interlace_report
 from .triangulate import (
     FACETS_CAP,
     TABLES_N_CAP,
-    FTriangle,
     NotUniformError,
     Triangulation,
     UnknownKindError,
     _check_input_facets,
-    check_refinement,
+    check_simplex,
     f_triangle,
     f_triangle_of,
     identity,
-    parse_kind,
     random_triangulation,
     refine,
     stellar,
     triangulation_from_json,
     triangulation_to_json,
-    trivial,
 )
 
 FORMATS = ("text", "json", "csv")
@@ -70,16 +67,6 @@ def _parse_int_spec(text: str, what: str) -> tuple[int, ...]:
             raise CliError(f"{what} {text!r} lists more than {INT_SPEC_CAP} values")
         out.extend(range(a, b + 1))
     return tuple(out)
-
-
-def _capped_f_triangle(kind: str, n: int, what: str) -> FTriangle:
-    """``f_triangle(kind, n)``, refused when the refined simplex would be
-    too large to build, although nothing is built."""
-    if n > TABLES_N_CAP:
-        raise CliError(f"{what} is limited to n <= {TABLES_N_CAP}")
-    if kind != "trivial":
-        check_refinement(trivial(range(1, n + 1)), kind)
-    return f_triangle(kind, n)
 
 
 def _load_triangulation(path: str) -> Triangulation:
@@ -170,8 +157,8 @@ def cmd_localh(args) -> int:
         print(json.dumps(body, sort_keys=True))
         return 0
     if args.via_uniform:
-        parse_kind(args.via_uniform)  # rejects trivial, which ftriangle accepts
-        F = _capped_f_triangle(args.via_uniform, n, "localh --via-uniform")
+        check_simplex(args.via_uniform, n)
+        F = f_triangle(args.via_uniform, n)
         ell = local_h_via_uniform(F, c_coefficients(T))
     else:
         ell = local_h(T)
@@ -248,7 +235,8 @@ def cmd_ftriangle(args) -> int:
     else:
         if args.n is None:
             raise CliError("--kind needs --n")
-        F = _capped_f_triangle(args.kind, args.n, "ftriangle --kind")
+        check_simplex(args.kind, args.n)
+        F = f_triangle(args.kind, args.n)
     if args.format == "json":
         print(json.dumps({"n": F.n, "rows": [list(r) for r in F.rows]},
                          sort_keys=True))
@@ -292,8 +280,13 @@ def _report_body(report) -> dict:
 
 
 def cmd_verify(args) -> int:
+    # Parsed when run_suite first reads it, so a value the suite does not
+    # read is refused as unread, not as malformed.
+    def lazy(text, flag):
+        yield from _parse_int_spec(text, flag)
+
     def ints(text, flag):
-        return None if text is None else _parse_int_spec(text, flag)
+        return None if text is None else lazy(text, flag)
 
     kinds = None if args.kinds is None else tuple(map(str.strip, args.kinds.split(",")))
     try:
@@ -380,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="face-count triangle of a uniform family or an "
                             "input triangulation")
     p.add_argument("--input", default=None, metavar="FILE")
-    p.add_argument("--kind", default=None, help="trivial | sd | esd:R")
+    p.add_argument("--kind", default=None, help="sd | esd:R")
     p.add_argument("--n", type=int, default=None, help="vertex count with --kind")
     p.set_defaults(handler=cmd_ftriangle)
 

@@ -40,7 +40,7 @@ from .poly import Poly
 
 # Facets of sd of the 8-vertex simplex; no sd or esd:R build may make more.
 FACETS_CAP = factorial(8)
-# Vertices of the largest simplex that tables and verify build over.
+# Vertices of the largest simplex for tables and check_simplex.
 # Past it, esd:2 verify cases within FACETS_CAP ran past 40 s (9 vertices).
 TABLES_N_CAP = 8
 # Stellar steps of one random refinement; each step lists every face.
@@ -303,6 +303,17 @@ def check_refinement(T: Triangulation, kind: str) -> int | None:
     return r
 
 
+def check_simplex(kind: str, n: int) -> None:
+    """Parse ``kind`` and refuse it on the n-vertex simplex past
+    ``FACETS_CAP`` refined facets (:func:`check_refinement`, asked about
+    a simplex cut to the size where its count clamps), then past
+    ``TABLES_N_CAP`` vertices, which esd:1 reaches within the facet cap."""
+    check_refinement(trivial(range(1, min(n, FACETS_CAP.bit_length() + 1) + 1)), kind)
+    if n > TABLES_N_CAP:
+        raise ValueError(f"a simplex on {n} vertices is "
+                         f"past the limit of {TABLES_N_CAP}")
+
+
 def refine(T: Triangulation, kind: str) -> Triangulation:
     """Refine ``T.total`` by ``sd`` or ``esd:R``, still over ``T.base``;
     :func:`check_refinement` refuses it first past ``FACETS_CAP``."""
@@ -512,17 +523,15 @@ def f_triangle_of(T: Triangulation) -> FTriangle:
 
 
 def f_triangle(kind: str, n: int) -> FTriangle:
-    """Face-count triangle of the n-simplex refined by trivial, sd or esd:R.
+    """Face-count triangle of the n-simplex refined by sd or esd:R.
 
     Nothing is built: row j is the f-vector of the refined simplex on j
-    vertices, read off its h-polynomial, :func:`reference`: 1 for trivial
-    (read as esd:1), the Eulerian polynomial for sd (Brenti-Welker) and
-    ``E_nr(j, R)`` for esd:R (Athanasiadis).
+    vertices, read off its h-polynomial, :func:`reference`: the Eulerian
+    polynomial for sd (Brenti-Welker) and ``E_nr(j, R)`` for esd:R
+    (Athanasiadis); esd:1 is the unrefined simplex.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if kind == "trivial":
-        kind = "esd:1"
     return FTriangle(n, tuple(f_vector_from_h(reference(kind, j), j)
                               for j in range(n + 1)))
 

@@ -371,9 +371,9 @@ class TestFTriangle:
         assert "not uniform" in err
 
     @pytest.mark.parametrize("kind, n, message", [
-        ("sd", "9", "limited to n <= 8"),
-        ("trivial", "9", "limited to n <= 8"),
-        ("esd:2", "9", "limited to n <= 8"),
+        ("sd", "9", "sd would build more than 40320 facets"),
+        ("esd:1", "9", "a simplex on 9 vertices is past the limit of 8"),
+        ("esd:2", "9", "a simplex on 9 vertices is past the limit of 8"),
         ("esd:201", "3", "esd:201 would build more than 40320 facets"),
         ("esd:7", "7", "esd:7 would build more than 40320 facets"),
     ])
@@ -385,23 +385,21 @@ class TestFTriangle:
             monkeypatch.setattr(cli_mod, name, refuse)
         for name in ("barycentric", "edgewise"):
             monkeypatch.setattr(triangulate_mod, name, refuse)
-        code, out, err = run(capsys, "ftriangle", "--kind", kind, "--n", n)
-        assert code == 2
-        assert out == ""
-        assert message in err
+        assert run(capsys, "ftriangle", "--kind", kind, "--n", n) == (
+            2, "", f"error: {message}\n")
 
-        # localh --via-uniform builds the same triangle for its input's n,
-        # and takes refinements only.
+        # localh --via-uniform asks the same guard about its input's n and
+        # builds nothing either; a verify case reports the guard's message.
         simplex = tmp_path / "simplex.json"
         verts = list(range(1, int(n) + 1))
         simplex.write_text(json.dumps({"vertices": verts, "facets": [verts]}))
-        if kind == "trivial":
-            message = "unknown subdivision kind 'trivial' (use sd or esd:R)"
-        code, out, err = run(capsys, "localh", "--input", str(simplex),
-                             "--via-uniform", kind)
-        assert code == 2
-        assert out == ""
-        assert message in err
+        assert run(capsys, "localh", "--input", str(simplex),
+                   "--via-uniform", kind) == (2, "", f"error: {message}\n")
+        code, out, _ = run(capsys, "verify", "thm-uniform", "--n", n,
+                           "--seeds", "1", "--kinds", kind, "--format", "json")
+        assert code == 1
+        assert [f["detail"] for f in json.loads(out)["failures"]] == [
+            f"raised ValueError: {message}"]
 
     def test_needs_exactly_one_source(self, capsys, simplex3):
         code, _, err = run(capsys, "ftriangle", "--input", simplex3,
@@ -546,9 +544,9 @@ class TestPermutationOutputBytes:
 
 
 def _face_triangle_argvs():
-    # Every kind spelling, n below, inside and at the top of the range,
-    # in each format, then the two cap refusals and the word family
-    # E_{n,r} with its guards.
+    # Every kind spelling, refused ones such as trivial included, n below,
+    # inside and at the top of the range, in each format, then the two
+    # cap refusals and the word family E_{n,r} with its guards.
     kinds = ["trivial", "sd", *(f"esd:{r}" for r in range(5)), "esd:x", "bogus"]
     for kind in kinds:
         for n in range(-1, 8):
@@ -564,13 +562,14 @@ def _face_triangle_argvs():
 class TestFaceTriangleOutputBytes:
     """Every ``ftriangle --kind`` and E_{n,r} output, errors included.
 
-    The digest was taken when ``f_triangle`` counted the faces of the
-    subdivision it built, and must not move when the rows are read off
-    h-polynomials instead.
+    Apart from the ``trivial`` rows and the ``sd --n 9`` refusal, which
+    ``parse_kind`` and ``check_simplex`` answer, the records are those
+    taken when ``f_triangle`` counted the faces of the subdivision it
+    built; they must not move when the rows are read off h-polynomials.
     """
 
     # sha256 of every (argv, exit code, stdout, stderr), in order.
-    DIGEST = "27c35fa46c93805f6b9058bc86a18f441f42f60f43439d22fd06629a865880dc"
+    DIGEST = "d6c51f051cf77c28e6be5ccf1c14b9e56050d70f902d2b2133528f7dc6bc1622"
 
     def test_digest(self, capsys):
         h = hashlib.sha256()
@@ -611,6 +610,11 @@ class TestCsvBytes:
     def test_verify(self, capsys, argv, out):
         code, stdout, _ = run(capsys, "verify", *argv, "--format", "csv")
         assert (code, stdout) == (0, out)
+
+
+# The options that change each suite's case count, as its empty-run
+# refusal names them.
+WIDEN = {"cor-sd": "--n or --k", "foata": "--n", "prop-dnkj-rec": "--n"}
 
 
 class TestVerifyCommand:
@@ -688,7 +692,18 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err == (f"error: suite {argv[0]} lists no cases; "
-                       "widen --n, --r or --k\n")
+                       f"widen {WIDEN[argv[0]]}\n")
+
+    @pytest.mark.parametrize("argv, hint", [
+        (["thm-sd", "--n", "1..400", "--seeds", "1..251"], "--n or --seeds"),
+        (["thm-esd", "--n", "1..400", "--seeds", "1..251"],
+         "--n, --seeds or --r"),
+        (["prop-esdr", "--r", "1000000000"], "--n or --r"),
+    ])
+    def test_long_suite_names_its_own_options(self, capsys, argv, hint):
+        assert run(capsys, "verify", *argv) == (
+            2, "", f"error: suite {argv[0]} lists more than 100000 cases; "
+                   f"narrow {hint}\n")
 
     @pytest.mark.parametrize("suite, flag, err", [
         ("thm-sd", "--n", "error: cannot parse --n ''\n"),
@@ -699,6 +714,21 @@ class TestVerifyCommand:
     ])
     def test_empty_option_value_exits_two(self, capsys, suite, flag, err):
         assert run(capsys, "verify", suite, flag, "") == (2, "", err)
+
+    @pytest.mark.parametrize("suite, flag, err", [
+        ("foata", "--seeds", "error: suite foata does not read --seeds; "
+                             "it reads --n\n"),
+        ("prop-lnkj", "--n", "error: suite prop-lnkj does not read --n; "
+                             "it reads --kinds\n"),
+        ("thm-sd", "--r", "error: suite thm-sd does not read --r; "
+                          "it reads --n, --seeds, --steps\n"),
+        ("foata", "--n", "error: cannot parse --n 'x'\n"),
+        ("thm-sd", "--seeds", "error: cannot parse --seeds 'x'\n"),
+        ("prop-esdr", "--r", "error: cannot parse --r 'x'\n"),
+    ])
+    def test_malformed_value_is_parsed_only_when_read(self, capsys, suite,
+                                                      flag, err):
+        assert run(capsys, "verify", suite, flag, "x") == (2, "", err)
 
     def test_bad_steps(self, capsys):
         assert run(capsys, "verify", "thm-sd", "--steps", "-1") == (
@@ -860,7 +890,7 @@ class TestKindEntryPoints:
         ("ftriangle", "esd:", 2, BAD_EMPTY),
         ("ftriangle", "esd:0", 2, BAD_R),
         ("ftriangle", "esd:-2", 2, BAD_R),
-        ("ftriangle", "trivial", 0, ""),
+        ("ftriangle", "trivial", 2, unknown("trivial")),
         ("ftriangle", "barycentric", 2, unknown("barycentric")),
         ("ftriangle", "fold", 2, unknown("fold")),
         ("verify", "sd", 0, WALL),

@@ -27,6 +27,7 @@ from subdiv.triangulate import (
     barycentric,
     carrier,
     check_refinement,
+    check_simplex,
     compose,
     edgewise,
     f_triangle,
@@ -505,7 +506,7 @@ class TestRandom:
 
 class TestFTriangle:
     def test_trivial_is_binomial(self):
-        F = f_triangle("trivial", 4)
+        F = f_triangle("esd:1", 4)  # esd:1 refines nothing
         for j in range(5):
             for i in range(j + 1):
                 assert F.f(i, j) == math.comb(j, i)
@@ -551,19 +552,27 @@ class TestFTriangle:
         assert f_triangle_of(R) == f_triangle("esd:3", 3)
 
     def test_old_kind_names_are_gone(self):
-        with pytest.raises(ValueError, match="unknown subdivision kind 'barycentric'"):
-            f_triangle("barycentric", 3)
+        for kind in ("barycentric", "trivial"):
+            with pytest.raises(ValueError, match=f"unknown subdivision kind '{kind}'"):
+                f_triangle(kind, 3)
 
 
 def built_f_triangle(kind, n):
-    """The oracle for ``f_triangle``: count the faces of the refined simplex."""
+    """The oracle for ``f_triangle``: count the faces of the refined
+    simplex, or of the unrefined one for ``trivial``."""
     base = trivial(range(1, n + 1))
     return f_triangle_of(base if kind == "trivial" else refine(base, kind))
 
 
+def read_f_triangle(kind, n):
+    """``f_triangle`` for the oracle's kind; esd:1 is the unrefined simplex."""
+    return f_triangle("esd:1" if kind == "trivial" else kind, n)
+
+
 class TestFTriangleAgainstBuilt:
     """``f_triangle`` reads each row off an h-polynomial; the face counts
-    of the built subdivision are its oracle."""
+    of the built subdivision are its oracle, and those of the unrefined
+    simplex are a second oracle for esd:1."""
 
     @pytest.mark.parametrize("kind, n", [
         *((kind, n) for kind in ("trivial", "sd", "esd:1", "esd:2", "esd:3",
@@ -574,7 +583,7 @@ class TestFTriangleAgainstBuilt:
         pytest.param("esd:200", 3, marks=pytest.mark.slow),
     ])
     def test_agrees_with_built(self, kind, n):
-        assert f_triangle(kind, n) == built_f_triangle(kind, n)
+        assert read_f_triangle(kind, n) == built_f_triangle(kind, n)
 
     @pytest.mark.parametrize("kind", ["trivial", "sd", "esd:3"])
     def test_builds_nothing(self, monkeypatch, kind):
@@ -585,7 +594,7 @@ class TestFTriangleAgainstBuilt:
 
         for name in ("trivial", "barycentric", "edgewise", "refine", "f_triangle_of"):
             monkeypatch.setattr(triangulate_mod, name, refuse)
-        assert f_triangle(kind, 5) == want
+        assert read_f_triangle(kind, 5) == want
 
 
 class TestReference:
@@ -712,6 +721,51 @@ class TestRefinementGuard:
     def test_iterated_sd_at_the_cap_reaches_the_builder(self, unbuilt, n, k):
         with pytest.raises(self.Reached):
             iterated_sd(range(1, n + 1), k)
+
+
+class TestSimplexGuard:
+    """``check_simplex`` counts a simplex past the clamp of
+    ``_refined_facets`` as one at the clamp; asking ``check_refinement``
+    about the whole simplex is its oracle."""
+
+    @staticmethod
+    def verdict(check, *args):
+        try:
+            return check(*args)
+        except ValueError as err:
+            return str(err)
+
+    @pytest.mark.parametrize("kind", ["sd", "esd:1", "esd:2", "esd:3", "esd:4",
+                                      "esd:40321"])
+    def test_agrees_with_the_whole_simplex(self, kind):
+        for n in range(41):
+            want = self.verdict(check_refinement, trivial(range(1, n + 1)), kind)
+            if not isinstance(want, str):
+                want = f"a simplex on {n} vertices is past the limit of 8" if n > 8 else None
+            assert self.verdict(check_simplex, kind, n) == want, n
+
+    @pytest.mark.parametrize("kind, message", [
+        ("sd", "sd would build more than 40320 facets"),
+        ("esd:2", "esd:2 would build more than 40320 facets"),
+        ("esd:1", f"a simplex on {10**18} vertices is past the limit of 8"),
+    ])
+    def test_huge_simplex_is_not_made(self, monkeypatch, kind, message):
+        real = triangulate_mod.trivial
+
+        def small(vertices):
+            assert len(vertices) <= 17, "the guard made the whole simplex"
+            return real(vertices)
+
+        monkeypatch.setattr(triangulate_mod, "trivial", small)
+        with pytest.raises(ValueError) as err:
+            check_simplex(kind, 10**18)
+        assert str(err.value) == message
+
+    def test_parses_first(self):
+        with pytest.raises(ValueError) as err:
+            check_simplex("trivial", 10**18)
+        assert str(err.value) == ("unknown subdivision kind 'trivial' "
+                                  "(use sd or esd:R)")
 
 
 class TestValidationAndJson:

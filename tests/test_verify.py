@@ -4,6 +4,7 @@ from itertools import count
 
 import pytest
 
+from subdiv import localh as localh_mod
 from subdiv import triangulate as triangulate_mod
 from subdiv import verify
 from subdiv.triangulate import (
@@ -124,8 +125,17 @@ class TestReportShape:
         monkeypatch.setattr(verify, "_run_case", refuse)
         with pytest.raises(ValueError) as err:
             run_suite(suite, **options)
-        assert str(err.value) == (f"suite {suite} lists no cases; "
-                                  "widen --n, --r or --k")
+        widen = "--n or --k" if suite == "cor-sd" else "--n"
+        assert str(err.value) == f"suite {suite} lists no cases; widen {widen}"
+
+    def test_unread_option_is_refused_before_its_value_is_read(self):
+        def unread():
+            raise AssertionError("the value of an unread option was read")
+            yield
+
+        with pytest.raises(ValueError) as err:
+            run_suite("foata", seeds=unread())
+        assert str(err.value) == "suite foata does not read --seeds; it reads --n"
 
 
 class TestDeterminism:
@@ -157,8 +167,24 @@ class TestCaseCap:
     def test_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(verify, "CASE_CAP", 10)
         assert run_suite("thm-dnkj", ns=(3,)).cases_run == 10
-        with pytest.raises(ValueError, match="more than 10 cases"):
+        with pytest.raises(ValueError) as err:
             run_suite("thm-dnkj", ns=(4,))
+        assert str(err.value) == ("suite thm-dnkj lists more than 10 cases; "
+                                  "narrow --n")
+
+    @pytest.mark.parametrize("suite, hint", [
+        ("thm-sd", "--n or --seeds"),
+        ("thm-uniform", "--n, --seeds or --kinds"),
+        ("cor-sd", "--n or --k"),
+        ("prop-lnkj", "--kinds"),
+        ("prop-esdr", "--n or --r"),
+    ])
+    def test_refusal_names_the_suites_own_options(self, monkeypatch, suite, hint):
+        monkeypatch.setattr(verify, "CASE_CAP", 1)
+        with pytest.raises(ValueError) as err:
+            run_suite(suite)
+        assert str(err.value) == (f"suite {suite} lists more than 1 cases; "
+                                  f"narrow {hint}")
 
     def test_cases_are_drawn_lazily(self, monkeypatch):
         def never(params):
@@ -324,6 +350,23 @@ class TestTriangleSuitesStayIndependent:
         assert all(case.ok for case in before)
         self.perturb(monkeypatch)
         assert [verify._run_case(item) for item in self.FORMULA_CASES] == before
+
+    def test_part_d_sees_a_wrong_p(self, monkeypatch):
+        # ell_mkj at k = 0 is p_poly itself, so part d must read p off
+        # the built refinement to see a wrong p_{4,1}.
+        real = localh_mod.p_poly
+
+        def wrong(F, m, k):
+            f = real(F, m, k)
+            return f + (1,) if (m, k) == (4, 1) else f
+
+        for module in (localh_mod, verify):
+            monkeypatch.setattr(module, "p_poly", wrong)
+        for kind, size in (("sd", 6), ("esd:2", 6), ("esd:3", 5)):
+            case = verify._case_prop_lnkj(
+                {"kind": kind, "part": "d", "size": size})
+            assert not case.ok
+            assert case.detail == "(m,j)=(4,1) k=0 specialization fails"
 
     def test_uniform_expansion_reads_the_library(self, monkeypatch):
         assert verify._run_case(self.UNIFORM_CASE).ok
