@@ -3,20 +3,22 @@
 A polynomial's rational coefficients are cleared once, where it enters;
 signed remainder sequences (sign-correct pseudo-remainders, stripped of
 content), Yun's squarefree decomposition and root deflation then run in
-integers, and ``Fraction`` appears only as bisection points and root
-bounds.  The signed remainder sequence is the only gcd routine: its
-last entry is the gcd of its two inputs up to a constant.  Yes/no
-answers are certified by one sign count at +-infinity each, which reads
-only leading coefficients and degrees: ``f`` is real-rooted when the
-Sturm count of distinct real roots reaches ``deg f - deg gcd(f, f')``,
-and ``f`` interlaces ``g`` when the Cauchy index of ``f/g`` reaches
-``deg g - deg gcd(f, g)`` (the Hermite-Kakeya-Obreschkoff criterion).
-Root isolation (Yun's squarefree decomposition for multiplicities, and
-bisection only down to isolating intervals whose endpoints are
-certified non-roots) serves ``isolate_roots`` and the evidence of
-``interlace_report``, which the CLI prints with ``--explain``.  No
-floating point is involved, so a ``True`` answer is a proof, not an
-estimate.
+integers.  So do sign counts: at a rational point ``p/q`` with ``q > 0``
+the sign of ``f(p/q)`` is that of the integer ``q^d * f(p/q)``, taken by
+Horner in ints.  ``Fraction`` is left only in interval endpoints,
+bisection midpoints and root bounds.  The signed remainder sequence is
+the only gcd routine: its last entry is the gcd of its two inputs up to
+a constant.  Yes/no answers are certified by one sign count at
++-infinity each, which reads only leading coefficients and degrees:
+``f`` is real-rooted when the Sturm count of distinct real roots reaches
+``deg f - deg gcd(f, f')``, and ``f`` interlaces ``g`` when the Cauchy
+index of ``f/g`` reaches ``deg g - deg gcd(f, g)`` (the
+Hermite-Kakeya-Obreschkoff criterion).  Root isolation (Yun's squarefree
+decomposition for multiplicities, and bisection only down to isolating
+intervals whose endpoints are certified non-roots) serves
+``isolate_roots`` and the evidence of ``interlace_report``, which the
+CLI prints with ``--explain``.  No floating point is involved, so a
+``True`` answer is a proof, not an estimate.
 
 Interlacing follows the weak-alternation convention: ``f`` interlaces
 ``g`` when both are real-rooted, ``deg g - 1 <= deg f <= deg g``, and
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .poly import Poly, degree, derivative, eval_at, normalize, sub
+from .poly import Poly, degree, derivative, normalize, sub
 
 _SCAN_LIMIT = 64  # integer root candidates probed before bisection
 
@@ -171,6 +173,21 @@ def _index_at_infinity(chain) -> int:
     return _variations(at_neg_inf) - _variations(p[-1] for p in chain)
 
 
+def _scaled_value(f: Poly, x) -> int:
+    """``q^d * f(p/q)`` for an integer ``f`` of degree ``d`` at ``x = p/q``.
+
+    ``x`` is a ``Fraction`` or an int (``q = 1``), so ``q > 0`` and the
+    value is an integer with the sign of ``f(x)``, zero exactly when
+    ``f(x)`` is.  Horner runs in ints with one running power of ``q``.
+    """
+    p, q = x.numerator, x.denominator
+    acc, qk = 0, 1
+    for c in reversed(f):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
+
+
 def _count_roots(chain, a, b, cache) -> int:
     """Distinct roots of ``chain[0]`` in the open interval ``(a, b)``.
 
@@ -178,7 +195,7 @@ def _count_roots(chain, a, b, cache) -> int:
     """
     for x in (a, b):
         if x not in cache:
-            cache[x] = _variations(eval_at(p, x) for p in chain)
+            cache[x] = _variations(_scaled_value(p, x) for p in chain)
     return cache[a] - cache[b]
 
 
@@ -193,7 +210,7 @@ def cauchy_bound(f: Poly) -> Fraction:
 def _split(p: Poly, chain, a, b, t, cache) -> tuple:
     """The half of ``(a, b)`` split at ``t`` that isolates the root of
     ``p`` there, or ``(t, t)`` when ``t`` is that root."""
-    if eval_at(p, t) == 0:
+    if _scaled_value(p, t) == 0:
         return t, t
     if _count_roots(chain, a, t, cache) == 1:
         return a, t
@@ -218,7 +235,8 @@ def _isolate_squarefree(p: Poly):
     limit = min(int(bound), _SCAN_LIMIT)
     for c in range(1, limit + 1):
         for s in (c, -c):
-            if degree(p) >= 1 and eval_at(p, s) == 0:
+            # an integer root divides the constant term, nonzero by now
+            if degree(p) >= 1 and p[0] % c == 0 and _scaled_value(p, s) == 0:
                 exacts.append(Fraction(s))
                 p = _exact_quotient(p, (-s, 1))
 
@@ -243,7 +261,7 @@ def _isolate_squarefree(p: Poly):
                 out.append((a, b))
                 continue
             m = (a + b) / 2
-            if eval_at(p, m) == 0:
+            if _scaled_value(p, m) == 0:
                 hit = m
                 break
             left = _count_roots(chain, a, m, cache)

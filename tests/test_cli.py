@@ -328,6 +328,16 @@ class TestInterlace:
         assert code == 2
         assert "error" in err
 
+    def test_exponent_cap(self, capsys):
+        # the cap is parsed and answered; one past it, or far past it,
+        # exits 2 before any coefficient list is built
+        assert run(capsys, "interlace", "--explain", "--", "x^63", "x^64") == (
+            0, "true\nreason: roots weakly alternate\n"
+               "roots of f: 0 x63\nroots of g: 0 x64\n", "")
+        for exp in ("65", "1000000000"):
+            assert run(capsys, "interlace", "--", f"x^{exp}", "1") == (
+                2, "", f"error: exponent {exp} in 'x^{exp}' is past the limit of 64\n")
+
     @pytest.mark.parametrize("f, g, code, explain, body", PINNED_INTERLACE)
     def test_pinned_stdout(self, capsys, f, g, code, explain, body):
         assert run(capsys, "interlace", f, g, "--explain") == (code, explain, "")

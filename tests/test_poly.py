@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import polys
 from subdiv.poly import (
+    MAX_EXPONENT,
     NotSymmetricError,
     PolyParseError,
     add,
@@ -277,6 +278,16 @@ class TestTextFormat:
     def test_parse_rejects(self, bad):
         with pytest.raises(PolyParseError):
             parse_poly(bad)
+
+    def test_exponent_cap(self):
+        assert MAX_EXPONENT == 64
+        assert parse_poly("x^64") == (0,) * 64 + (1,)
+        assert parse_poly("1+x^064") == (1,) + (0,) * 63 + (1,)
+        for text, exp in [("x^65", 65), ("1+0x^65", 65),
+                          ("x^1000000000", 1000000000)]:
+            with pytest.raises(PolyParseError,
+                               match=f"^exponent {exp} in '.*' is past the limit of 64$"):
+                parse_poly(text)
 
     @given(polys(min_coeff=-99, max_coeff=99, max_len=10))
     def test_roundtrip(self, f):

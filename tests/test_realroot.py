@@ -11,9 +11,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from subdiv import realroot
 from subdiv.perm import E_nr, d_nkj, eulerian
 from subdiv.poly import (
     add,
@@ -35,6 +36,7 @@ from subdiv.realroot import (
     _interlace_core,
     _isolate_squarefree,
     _remainder_sequence,
+    _scaled_value,
     cauchy_bound,
     interlace_report,
     interlaces,
@@ -651,6 +653,106 @@ class TestChainTailGcd:
         for i, (a, _) in enumerate(decomp):
             for b, _ in decomp[i + 1:]:
                 assert _oracle_gcd(a, b) == (1,)
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def _oracle_variations(chain, x):
+    """Sign changes of the chain at ``x``, each entry through ``eval_at``."""
+    signs = [_sign(eval_at(p, Fraction(x))) for p in chain]
+    signs = [s for s in signs if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+@st.composite
+def _int_polys(draw):
+    """Integer polynomials of degree 0..12 and zero, with either sign of
+    the lead and, often, a zero constant term."""
+    f = draw(st.lists(st.integers(-10**6, 10**6), max_size=13))
+    if f and draw(st.booleans()):
+        f[0] = 0
+    return normalize(f)
+
+
+# 0, integers, and p/q in lowest terms with q up to 2^40
+_POINTS = st.one_of(
+    st.just(0),
+    st.integers(-10**6, 10**6),
+    st.builds(Fraction, st.integers(-2**44, 2**44), st.integers(1, 2**40)),
+)
+
+
+class TestScaledValueAgainstEvalAt:
+    """The integer sign kernel against ``eval_at`` over ``Fraction``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_int_polys(), _POINTS)
+    def test_drawn_points(self, f, x):
+        value = _scaled_value(f, x)
+        oracle = eval_at(f, Fraction(x))
+        assert _sign(value) == _sign(oracle)
+        assert value == oracle * Fraction(x).denominator ** max(degree(f), 0)
+
+    def test_reported_cases(self):
+        for f in [(), (5,), (-5,), (0, 1), (0, 0, -3), (2, -3, 1), (-1, 0, 4)]:
+            for x in [0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2),
+                      Fraction(3, 2**40), Fraction(-(2**40) - 1, 2**40)]:
+                assert _sign(_scaled_value(f, x)) == _sign(eval_at(f, Fraction(x)))
+        assert _scaled_value((2, -3, 1), Fraction(1, 2)) == 3  # 4 * f(1/2)
+        assert _scaled_value((-1, 0, 4), Fraction(-1, 2)) == 0
+
+    def test_points_isolation_visits(self, monkeypatch):
+        seen = []
+
+        def record(f, x):
+            seen.append((f, x))
+            return _scaled_value(f, x)
+
+        monkeypatch.setattr(realroot, "_scaled_value", record)
+        polys = [p for pair in _pin_corpus() for p in pair]
+        polys += [eulerian(n) for n in range(1, 9)]
+        polys += [d_nkj(n, k, j) for n in range(1, 6)
+                  for k in range(n + 1) for j in range(n + 1)]
+        polys = [p for p in polys if p and is_real_rooted(p)]
+        isolations = [isolate_roots(p).intervals for p in polys]
+        monkeypatch.undo()
+        assert any(isinstance(x, int) for _, x in seen)
+        assert any(isinstance(x, Fraction) and x.denominator > 2 for _, x in seen)
+        for f, x in seen:
+            assert _sign(_scaled_value(f, x)) == _sign(eval_at(f, Fraction(x))), (f, x)
+        # each polynomial at its Cauchy bounds and interval midpoints
+        for p, intervals in zip(polys, isolations):
+            bound = cauchy_bound(p)
+            for x in [bound, -bound] + [(lo + hi) / 2 for lo, hi, _ in intervals]:
+                assert _sign(_scaled_value(p, x)) == _sign(eval_at(p, x)), (p, x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_int_polys(), _poly_pairs().map(lambda pair: pair[0])),
+           _POINTS, _POINTS)
+    def test_count_roots(self, f, a, b):
+        assume(degree(f) >= 1)
+        a, b = sorted((Fraction(a), Fraction(b)))
+        chain = sturm_chain(f)
+        assume(a < b and eval_at(chain[0], a) and eval_at(chain[0], b))
+        assert _count_roots(chain, a, b, {}) == (
+            _oracle_variations(chain, a) - _oracle_variations(chain, b))
+
+    def test_count_roots_grid_products(self):
+        # distinct grid roots strictly inside (a, b), counted by Sturm;
+        # an odd numerator over 12 is never a grid root
+        rng = random.Random(20261019)
+        off_grid = [Fraction(2 * k + 1, 12) for k in range(-42, 42)]
+        for _ in range(200):
+            roots = [rng.choice(GRID) for _ in range(rng.randint(1, 8))]
+            f = _from_roots(rng.choice((-2, -1, 1, 3)), roots, rng.randint(0, 1))
+            a, b = sorted(rng.sample(off_grid, 2))
+            chain = sturm_chain(f)
+            count = _count_roots(chain, a, b, {})
+            assert count == (_oracle_variations(chain, a)
+                             - _oracle_variations(chain, b))
+            assert count == len({r for r in roots if a < r < b})
 
 
 def _pin_corpus():
