@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -313,7 +314,14 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call only.
+
+    Later calls return the same parser, and each ``parse_args`` on it
+    still returns a fresh namespace.  The ``cmd_*`` handlers are bound
+    when the parser is built; a caller must not add arguments to the
+    shared parser."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="text",
                         help="output format (default text)")

@@ -37,13 +37,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_python(*argv):
+def run_python(*argv, text=True):
     """A fresh interpreter that imports ``subdiv`` from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *argv], env=env,
-                          capture_output=True, text=True, timeout=30)
+                          capture_output=True, text=text, timeout=30)
 
 
 @pytest.fixture
@@ -981,3 +981,123 @@ def test_readme_example_parses(command):
     words = shlex.split(command, comments=True)
     assert words[0] == "subdiv"
     cli_mod.build_parser().parse_args(words[1:])
+
+
+WALL_TIME = re.compile(r"^# wall time: .*\n", flags=re.M)
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)`` in this process,
+    with argparse's exits taken as codes and verify's timing line left out."""
+    try:
+        code = main(argv)
+    except SystemExit as exit_:
+        code = exit_.code
+    captured = capsys.readouterr()
+    return code, captured.out, WALL_TIME.sub("", captured.err)
+
+
+def fresh_outcome(argv):
+    """The same three, from ``python -m subdiv.cli`` in its own process."""
+    done = run_python("-m", "subdiv.cli", *argv, text=False)
+    return (done.returncode, done.stdout.decode(),
+            WALL_TIME.sub("", done.stderr.decode()))
+
+
+class TestSharedParser:
+    """``main`` parses every call with one parser built per process."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, simplex3):
+        return simplex3, write_triangulation(tmp_path, barycentric(trivial((1, 2, 3))))
+
+    def test_matches_fresh_processes(self, capsys, monkeypatch, inputs):
+        simplex, sd = inputs
+        argvs = [
+            ["tables", "--which", "2", "--n", "3"],
+            ["localh", "--input", sd],
+            ["localh", "--input", sd, "--emit-c"],
+            ["localh", "--input", sd, "--format", "json"],
+            ["localh", "--input", simplex, "--via-uniform", "sd"],
+            ["subdivide", "--input", simplex, "--kind", "random:3", "--seed", "4"],
+            ["interlace", "1+4x+x^2", "x+4x^2+x^3", "--explain"],
+            ["interlace", "x+4x^2+x^3", "1+4x+x^2"],
+            ["interlace", "x^2-2", "x+x^2-3", "--format", "csv"],
+            ["interlace", "--", "x^65", "1"],
+            ["ftriangle", "--kind", "esd:2", "--n", "3", "--format", "csv"],
+            ["ftriangle", "--kind", "esd:1", "--n", "9"],
+            ["stat-poly", "--family", "E", "--params", "3,2"],
+            ["verify", "foata", "--n", "3", "--verbose"],
+            ["verify", "foata", "--seeds", "1"],
+            ["localh", "--input", simplex, "--emit-c", "--via-uniform", "sd"],
+            ["tables", "--which", "4", "--n", "2"],
+            ["stat-poly", "--help"],
+        ]
+        # Fixed width, so that usage and help text wrap alike on both sides.
+        monkeypatch.setenv("COLUMNS", "100")
+        shared = [outcome(capsys, argv) for argv in argvs]
+        assert {code for code, _, _ in shared} == {0, 1, 2}
+        for argv, got in zip(argvs, shared):
+            assert got == fresh_outcome(argv), argv
+
+    def test_no_value_leaks_between_calls(self, capsys, inputs):
+        simplex, sd = inputs
+        pairs = [
+            (["localh", "--input", sd, "--emit-c"], ["localh", "--input", sd]),
+            (["localh", "--input", sd, "--format", "json"], ["localh", "--input", sd]),
+            (["verify", "cor-2sd", "--n", "2", "--verbose"],
+             ["verify", "cor-2sd", "--n", "2"]),
+            (["localh", "--input", simplex, "--emit-c", "--via-uniform", "sd"],
+             ["localh", "--input", simplex, "--via-uniform", "sd"]),
+        ]
+        parser = cli_mod.build_parser()
+        for earlier, later in pairs:
+            first = outcome(capsys, later)
+            namespace = vars(parser.parse_args(later))
+            assert first[0] == 0
+            assert outcome(capsys, earlier) != first
+            assert outcome(capsys, later) == first
+            assert vars(parser.parse_args(later)) == namespace
+        # the mutually exclusive pair is refused by argparse itself
+        assert outcome(capsys, pairs[-1][0])[0] == 2
+
+    def test_built_lazily_and_once(self):
+        # A fresh process, so that the parser cache starts empty.
+        script = """
+import argparse, contextlib, io, json
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import subdiv.cli
+counts = [len(built)]
+for argv in (["tables", "--which", "1", "--n", "2"],
+             ["stat-poly", "--family", "d", "--params", "3,1"],
+             ["interlace", "1+x", "x"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        subdiv.cli.main(argv)
+    counts.append(len(built))
+print(json.dumps(counts))
+"""
+        done = run_python("-c", script)
+        assert done.returncode == 0, done.stderr
+        after_import, after_one, after_two, after_three = json.loads(done.stdout)
+        assert after_import == 0
+        assert after_one > 0
+        assert after_one == after_two == after_three
+
+    @pytest.mark.parametrize("command", [[]] + [[c] for c in COMMANDS])
+    def test_help_exits_zero_with_stable_text(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "100")
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_:
+                main([*command, "--help"])
+            assert exit_.value.code == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            texts.append(captured.out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith(" ".join(["usage: subdiv", *command]))
