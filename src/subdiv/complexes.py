@@ -11,6 +11,7 @@ is load-bearing.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain, combinations, repeat
 
 from .poly import Poly, binom, normalize
@@ -26,6 +27,11 @@ def face(vertices) -> Face:
             raise TypeError(f"vertex ids must be integers, got {v!r}")
         vs.add(v)
     return tuple(sorted(vs))
+
+
+def _faces_of_size(facets, k: int) -> set[Face]:
+    """The k-vertex subsets of sorted facets, as one set."""
+    return set(chain.from_iterable(map(combinations, facets, repeat(k))))
 
 
 class SchemaError(ValueError):
@@ -70,13 +76,15 @@ class SimplicialComplex:
         return self._vertices
 
     def dimension(self) -> int:
-        """Largest facet size minus one; -1 for empty, -2 for void."""
+        """Largest facet size minus one; -1 for empty, -2 for void.
+        The facets are in canonical order, so the last is a largest."""
         if self.is_void:
             return -2
-        return max(len(f) for f in self.facets) - 1
+        return len(self.facets[-1]) - 1
 
     def is_pure(self) -> bool:
-        return len({len(f) for f in self.facets}) <= 1
+        """All facets of one size: the first and last, in canonical order."""
+        return self.is_void or len(self.facets[0]) == len(self.facets[-1])
 
     def face_set(self) -> frozenset[Face]:
         """All faces, unordered: enough for lookups."""
@@ -88,7 +96,7 @@ class SimplicialComplex:
     def faces_of_size(self, k: int) -> set[Face]:
         """The k-vertex faces, unordered, built afresh on every call so
         that counting keeps no face set alive."""
-        return set(chain.from_iterable(map(combinations, self.facets, repeat(k))))
+        return _faces_of_size(self.facets, k)
 
     def faces(self):
         """All faces in canonical order: by size, then lexicographic."""
@@ -103,10 +111,21 @@ class SimplicialComplex:
         return tuple(item) in self.face_set()
 
     def f_vector(self) -> tuple[int, ...]:
-        """(f_{-1}, f_0, ..., f_{dim}); the void complex gives ()."""
+        """(f_{-1}, f_0, ..., f_{dim}); the void complex gives ().
+
+        Only the sizes strictly between one vertex and a facet of top
+        size build a face set (:meth:`faces_of_size`): f_{-1} is 1, f_0
+        counts ``vertices``, and every top-sized face is a facet, all of
+        which sit at the end of the canonical order.
+        """
         if self.is_void:
             return ()
-        return tuple(len(self.faces_of_size(k)) for k in range(self.dimension() + 2))
+        top = len(self.facets[-1])
+        if top < 2:
+            return (1,) if top == 0 else (1, len(self.vertices))
+        inner = [len(self.faces_of_size(k)) for k in range(2, top)]
+        f_top = len(self.facets) - bisect_left(self.facets, top, key=len)
+        return (1, len(self.vertices), *inner, f_top)
 
     def __eq__(self, other):
         return isinstance(other, SimplicialComplex) and self.facets == other.facets

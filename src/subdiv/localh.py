@@ -7,8 +7,9 @@ base faces F with the sum over faces G of the triangulation gives
 
     ell = sum_G x^|G| (-x)^(n-c(G)) (1-x)^(c(G)-|G|),
 
-where c(G) is the size of the carrier of G, so one pass over the faces,
-counted by carrier and size (:func:`face_table`), is enough.  For a
+where c(G) is the size of the carrier of G, so the faces counted by
+carrier and size (:func:`face_table`) are enough; faces through an
+interior vertex are counted there per size, not one by one.  For a
 subdivision built uniformly (same face counts over every base face of a
 given size, recorded in an FTriangle) that polynomial decomposes into a
 fixed family ell_mkj with nonnegative integer weights read off the inner

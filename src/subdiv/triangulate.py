@@ -9,6 +9,7 @@ face meaningful, and they compose when subdivisions are stacked.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import (
@@ -16,6 +17,8 @@ from itertools import (
     chain,
     combinations,
     combinations_with_replacement,
+    compress,
+    filterfalse,
     permutations,
     repeat,
 )
@@ -27,6 +30,7 @@ from .complexes import (
     SchemaError,
     SimplicialComplex,
     _all_ints,
+    _faces_of_size,
     _from_sorted_facets,
     _vertex_key,
     complex_from_json,
@@ -101,22 +105,35 @@ def restriction(T: Triangulation, F) -> Triangulation:
     (with its memoized faces) is the restricted complex.  If moreover
     ``F`` is the only facet of the base and the carrier map has no
     other keys, the restriction is ``T`` itself, face table included.
+    Otherwise each facet is cut down to the kept vertices with C-level
+    set operations (:func:`_project`); when no facet keeps a vertex,
+    the restriction is the empty complex.
     """
     f = face(F)
     if f not in T.base:
         raise ValueError(f"{f} is not a face of the base complex")
     inside = set(f)
-    keep = {v for v, c in T.vertex_carrier.items() if inside.issuperset(c)}
+    keep = set(compress(T.vertex_carrier, map(inside.issuperset, T.vertex_carrier.values())))
     if keep.issuperset(T.total.vertices):
         if T.base.facets == (f,) and len(T.vertex_carrier) == len(T.total.vertices):
             return T
         total = T.total
     else:
-        facets = [tuple(filter(keep.__contains__, h)) for h in T.total.facets]
+        # A void total has no vertices and took the branch above.
+        facets = _project(T.total.facets, keep) or {()}
         labels = {v: s for v, s in T.total.labels.items() if v in keep}
         total = _from_sorted_facets(facets, labels)
     carriers = {v: T.vertex_carrier[v] for v in total.vertices}
     return Triangulation(_from_sorted_facets([f], {}), total, carriers)
+
+
+def _project(facets, keep: set) -> set[Face]:
+    """The facets cut down to the vertices in ``keep``, as distinct
+    sorted tuples; a facet that keeps none is left out.  Every facet
+    takes a C-level ``isdisjoint`` test, and only those meeting ``keep``
+    an ``intersection``."""
+    meeting = filterfalse(keep.isdisjoint, facets)
+    return set(map(tuple, map(sorted, map(keep.intersection, meeting))))
 
 
 def _restrictions(T: Triangulation) -> dict[Face, Triangulation]:
@@ -206,8 +223,9 @@ def _edgewise_pattern(m: int, r: int):
     """Local points and chains of an m-vertex facet under esd:r.
 
     A point is a tuple of (position, weight) pairs with positive
-    weights; a chain is a tuple of indices into the points, in the
-    order :func:`_edgewise_chains` walks them.
+    weights, listed in the order :func:`_edgewise_chains` first reaches
+    them.  The chains come in the order it walks them, each a tuple of
+    indices into the points, sorted by point.
     """
     points: dict[tuple[tuple[int, int], ...], int] = {}
     chains = []
@@ -217,44 +235,44 @@ def _edgewise_pattern(m: int, r: int):
             p = tuple((i, t[i] - (t[i - 1] if i else 0))
                       for i in range(m) if t[i] > (t[i - 1] if i else 0))
             local.append(points.setdefault(p, len(points)))
-        chains.append(tuple(local))
+        chains.append(local)
     assert len(chains) == r ** (m - 1)
-    return list(points), chains
+    listed = list(points)
+    return listed, [tuple(sorted(c, key=listed.__getitem__)) for c in chains]
 
 
 def edgewise(T: Triangulation, r: int) -> Triangulation:
     """The r-fold edgewise subdivision of ``T.total`` over ``T.base``.
 
     Vertices are the integer weightings of total vertices summing to r,
-    supported on a face.  Partial sums run over each facet's vertices in
-    increasing id order.  The chains of an m-vertex facet are walked
-    once per call and mapped onto each facet of that size.
+    supported on a face, numbered in sorted order.  Partial sums run
+    over each facet's vertices in increasing id order.  The chains of
+    an m-vertex facet are walked and sorted once per call.  Naming a
+    facet's local points, (i, w) -> (h[i], w), keeps their order, so a
+    sorted chain maps onto a facet as a sorted tuple of ids; each
+    facet's points are registered once, in pattern order.
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
 
-    patterns: dict[int, tuple] = {}
-    point_ids: dict[tuple[tuple[int, int], ...], int] = {}
-    local_facets: list[tuple[tuple[tuple[int, int], ...], ...]] = []
+    patterns: dict[int, tuple] = {0: ([], [()])}
+    # Per facet: its points named by total vertex, and its size's chains.
+    named_chains = []
     for h in T.total.facets:
         m = len(h)
-        if m == 0:
-            local_facets.append(())
-            continue
         if m not in patterns:
             patterns[m] = _edgewise_pattern(m, r)
         points, chains = patterns[m]
-        named = [tuple((h[i], w) for i, w in p) for p in points]
-        local_facets.extend(tuple(named[j] for j in chain) for chain in chains)
+        named_chains.append(([tuple((h[i], w) for i, w in p) for p in points], chains))
 
-    for f in local_facets:
-        for p in f:
-            point_ids.setdefault(p, 0)
+    point_ids = dict.fromkeys(chain.from_iterable(named for named, _ in named_chains), 0)
     for i, p in enumerate(sorted(point_ids), start=1):
         point_ids[p] = i
 
-    # A chain's points are distinct but not numbered in increasing order.
-    facets = [tuple(sorted(map(point_ids.__getitem__, f))) for f in local_facets]
+    facets = []
+    for named, chains in named_chains:
+        ids = list(map(point_ids.__getitem__, named))
+        facets.extend(tuple(map(ids.__getitem__, c)) for c in chains)
     labels = {i: " ".join(f"{v}^{c}" for v, c in p) for p, i in point_ids.items()}
     supports = {p: tuple(v for v, _ in p) for p in point_ids}
     carrier_of = {g: carrier(T, g) for g in set(supports.values())}
@@ -417,31 +435,71 @@ def face_table(T: Triangulation) -> dict[tuple[int, int], int]:
 
     A face's mask ORs its vertices' :func:`_carrier_masks`.  It lies in
     the restriction to a base face F exactly when its mask is inside
-    F's, so this one pass over the faces answers every restriction's
-    face counts at once.  Faces that no restriction keeps (a vertex
-    without a carrier, or with one leaving the base) are left out.
-    The table is built once per ``T`` and shared by every caller, who
-    must only read it.
+    F's, so one table answers every restriction's face counts at once.
+    Faces that no restriction keeps (a vertex without a carrier, or
+    with one leaving the base) are left out.  Only the faces without an
+    interior vertex are walked one by one; those through one all have
+    the full mask and are counted per size by subtraction
+    (:func:`_tabulate_faces`).  The table is built once per ``T`` and
+    shared by every caller, who must only read it.
     """
     return T._face_table
 
 
 def _tabulate_faces(T: Triangulation) -> dict[tuple[int, int], int]:
+    """:func:`face_table`, walking in Python only the faces without an
+    interior vertex, one whose carrier mask is the whole base.
+
+    A face through an interior vertex has the full mask, so those faces
+    are counted by subtraction, size by size: all faces with every
+    vertex carried minus the walked ones.  A walked face can have the
+    full mask too (an edge between two vertices whose carriers together
+    cover the base), so the difference is added to its count.  The
+    walked faces are freed before any set of all k-faces is built, and
+    only one face set is alive at a time.
+    """
     vertex_mask = _carrier_masks(T, T.vertex_carrier)
-    table: dict[tuple[int, int], int] = {}
-    # One size at a time: only that size's face set is alive.
-    for k in range(T.total.dimension() + 2):
-        for g in T.total.faces_of_size(k):
+    full = (1 << len(T.base.vertices)) - 1
+    carried = vertex_mask.keys() & T.total.vertices
+    inner = {v for v in carried if vertex_mask[v] == full}
+    facets = T.total.facets
+    all_carried = len(carried) == len(T.total.vertices)
+    if not all_carried:
+        facets = _project(facets, carried)
+    top = T.total.dimension() + 1
+    table = {} if T.total.is_void else {(0, 0): 1}
+    outer = _project(facets, carried - inner) if inner else facets
+    walked = _add_faces(table, outer, vertex_mask, top)
+    if not inner:
+        return table
+    del outer
+    for k in range(1, top + 1):
+        if k == 1:
+            count = len(carried)
+        elif k == top and all_carried:  # every top-sized face is a facet
+            count = len(facets) - bisect_left(facets, k, key=len)
+        else:
+            count = len(_faces_of_size(facets, k))
+        if count > walked[k]:
+            table[full, k] = table.get((full, k), 0) + count - walked[k]
+    return table
+
+
+def _add_faces(table: dict, facets, vertex_mask: dict, top: int) -> list[int]:
+    """Count the faces of ``facets`` with 1..top vertices into ``table``
+    by (carrier mask, size); returns how many faces of each size there
+    were.  Every vertex must have a mask."""
+    walked = [0] * (top + 1)
+    for k in range(1, top + 1):
+        faces = _faces_of_size(facets, k)
+        walked[k] = len(faces)
+        for g in faces:
             mask = 0
             for v in g:
-                m = vertex_mask.get(v)
-                if m is None:
-                    break
-                mask |= m
-            else:
-                key = (mask, k)
-                table[key] = table.get(key, 0) + 1
-    return table
+                mask |= vertex_mask[v]
+            key = (mask, k)
+            table[key] = table.get(key, 0) + 1
+    return walked
 
 
 def _restriction_f_vectors(T: Triangulation, table):

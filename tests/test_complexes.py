@@ -265,6 +265,8 @@ class TestFacesOfSize:
         for k in range(K.dimension() + 3):
             assert K.faces_of_size(k) == {g for g in whole if len(g) == k}
         assert K.f_vector() == set_f_vector(K)
+        assert K.f_vector() == tuple(len(K.faces_of_size(k))
+                                     for k in range(K.dimension() + 2))
 
     @given(st.lists(st.lists(st.integers(-3, 8), max_size=5), max_size=6))
     @example([])  # void
@@ -277,6 +279,28 @@ class TestFacesOfSize:
                              ids=["random-stellar", "sd2"])
     def test_built(self, K):
         self.check(K)
+
+    @pytest.mark.parametrize("K, sizes", [
+        (from_facets([]), []),
+        (from_facets([()]), []),
+        (from_facets([(1,), (2,)]), []),
+        (from_facets([(1, 2), (3,)]), []),
+        (from_facets([(1, 2, 3), (3, 4), (5,)]), [2]),
+        (full_simplex(range(1, 6)), [2, 3, 4]),
+    ], ids=["void", "empty", "points", "edge-point", "non-pure", "simplex"])
+    def test_sets_only_between_a_vertex_and_a_facet(self, monkeypatch, K, sizes):
+        built = []
+        faces_of_size = SimplicialComplex.faces_of_size
+
+        def recording(self, k):
+            built.append(k)
+            return faces_of_size(self, k)
+
+        monkeypatch.setattr(SimplicialComplex, "faces_of_size", recording)
+        fv = K.f_vector()
+        assert built == sizes
+        monkeypatch.undo()
+        assert fv == set_f_vector(K)
 
     def test_counting_keeps_no_face_set(self):
         K = full_simplex(range(1, 6))
@@ -310,6 +334,18 @@ class TestDimensionPurity:
     def test_pure(self):
         assert figure_complex().is_pure()
         assert not from_facets([(1, 2), (3,)]).is_pure()
+        assert from_facets([]).is_pure() and from_facets([()]).is_pure()
+
+    @given(st.lists(st.lists(st.integers(-3, 8), max_size=5), max_size=6))
+    @example([])  # void
+    @example([[]])  # empty
+    @example([[1, 2, 3], [3, 4], [5]])  # non-pure
+    @example([[5], [1, 2], [3, 4, 6]])  # non-pure, largest last drawn
+    def test_read_off_the_ends_against_a_scan(self, raw):
+        K = from_facets(raw)
+        sizes = [len(f) for f in K.facets]
+        assert K.dimension() == (max(sizes) - 1 if sizes else -2)
+        assert K.is_pure() == (len(set(sizes)) <= 1)
 
 
 class TestHPolynomial:

@@ -125,6 +125,26 @@ class TestRestriction:
         T = sd3()
         assert restriction(restriction(T, (1, 2)), (2,)) == restriction(T, (2,))
 
+    def test_to_the_empty_face_keeps_the_empty_face(self):
+        R = restriction(sd3(), ())
+        assert R.total.facets == ((),)
+        assert R.base.facets == ((),)
+        assert R.vertex_carrier == {}
+
+    def test_base_vertex_whose_vertex_was_dropped(self):
+        # No vertex is kept, yet the total has facets: the empty complex.
+        T = sd3()
+        carriers = dict(T.vertex_carrier)
+        del carriers[find_vertex(T, (2,))]
+        R = restriction(Triangulation(T.base, T.total, carriers), (2,))
+        assert R.total.facets == ((),)
+        assert R.vertex_carrier == {}
+
+    def test_void_total_stays_void(self):
+        T = Triangulation(full_simplex((1, 2)), from_facets([]), {})
+        for F in [(), (1,), (1, 2)]:
+            assert restriction(T, F).total.is_void
+
 
 class TestTopFaceReuse:
     """The restriction to a face carrying every total vertex is ``T.total``
@@ -360,11 +380,8 @@ def chain_walk_edgewise(T: Triangulation, r: int) -> Triangulation:
             local_facets.append(())
             continue
         for chain in triangulate_mod._edgewise_chains(m, r):
-            points = []
-            for t in chain:
-                points.append(tuple((h[i], t[i] - (t[i - 1] if i else 0))
-                                    for i in range(m) if t[i] > (t[i - 1] if i else 0)))
-            local_facets.append(tuple(points))
+            local_facets.append(tuple(tuple((h[i], w) for i, w in _local_point(t))
+                                      for t in chain))
     for f in local_facets:
         for p in f:
             point_ids.setdefault(p, 0)
@@ -376,6 +393,12 @@ def chain_walk_edgewise(T: Triangulation, r: int) -> Triangulation:
     return Triangulation(T.base, from_facets(facets, labels), carriers)
 
 
+def _local_point(t) -> tuple:
+    """The (position, weight) pairs of a partial-sum vector ``t``."""
+    return tuple((i, t[i] - (t[i - 1] if i else 0))
+                 for i in range(len(t)) if t[i] > (t[i - 1] if i else 0))
+
+
 def _wire_bytes(T: Triangulation) -> tuple:
     """The JSON bytes, plus the insertion order of labels and carriers."""
     return (json.dumps(triangulation_to_json(T)),
@@ -384,6 +407,16 @@ def _wire_bytes(T: Triangulation) -> tuple:
 
 class TestEdgewisePattern:
     """One chain pattern per facet size, against walking every facet."""
+
+    @pytest.mark.parametrize("m,r", [(1, 3), (3, 4), (4, 6)])
+    def test_chains_sorted_by_point(self, m, r):
+        points, chains = triangulate_mod._edgewise_pattern(m, r)
+        assert len(points) == len(set(points)) == math.comb(m + r - 1, m - 1)
+        assert all(list(map(points.__getitem__, c)) == sorted(map(points.__getitem__, c))
+                   for c in chains)
+        walked = [sorted(map(points.index, map(_local_point, chain)))
+                  for chain in triangulate_mod._edgewise_chains(m, r)]
+        assert [sorted(c) for c in chains] == walked
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 5), st.integers(0, 3), st.integers(0, 10**6),
@@ -399,6 +432,18 @@ class TestEdgewisePattern:
     def test_mixed_facet_sizes(self):
         G = identity(from_facets([(1, 2, 3), (3, 4), (5,)]))
         assert _wire_bytes(edgewise(G, 3)) == _wire_bytes(chain_walk_edgewise(G, 3))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("r", [5, 6])
+    def test_heavy_shape(self, r):
+        # The heaviest thm-esd cases: n = 4 after 6 stellar steps.
+        G = random_triangulation((1, 2, 3, 4), 6, seed=6893396)
+        T = edgewise(G, r)
+        assert _wire_bytes(T) == _wire_bytes(chain_walk_edgewise(G, r))
+        assert len(T.total.facets) == len(G.total.facets) * r ** 3
+        assert face_table(T) == loop_face_table(T)
+        assert (_restriction_parts(triangulate_mod._restrictions(T))
+                == _restriction_parts({f: restriction(T, f) for f in T.base.faces()}))
 
 
 class TestStellar:
@@ -1055,8 +1100,11 @@ class TestFaceTable:
         _recarried(_ESD, to=(9,)),
         _recarried(_STELLAR, to=(1, 9)),
         _recarried(_SD4, none=True),
+        Triangulation(full_simplex((1, 2)), from_facets([]), {}),
+        # No vertex has the full mask: the union of the base is no face.
+        barycentric(identity(from_facets([(1, 2), (2, 3), (1, 3), (3, 4)]))),
     ], ids=["sd", "esd", "stellar", "empty", "no-carrier", "leaves-base",
-            "partly-leaves-base", "no-carriers"])
+            "partly-leaves-base", "no-carriers", "void-total", "non-simplex-base"])
     def test_matches_loop(self, T):
         T = Triangulation(T.base, T.total, T.vertex_carrier)  # a cold table
         assert face_table(T) == loop_face_table(T)
@@ -1064,6 +1112,34 @@ class TestFaceTable:
     @settings(max_examples=60, deadline=None)
     @given(perturbed(st.one_of(refined_stellar(), non_simplex_bases())))
     def test_matches_loop_on_drawn(self, T):
+        assert face_table(T) == loop_face_table(T)
+
+    def test_face_through_interior_and_uncarried_vertex(self):
+        edge, center = find_vertex(_SD4, (1, 2)), find_vertex(_SD4, (1, 2, 3, 4))
+        carriers = dict(_SD4.vertex_carrier)
+        del carriers[edge]
+        T = Triangulation(_SD4.base, _SD4.total, carriers)
+        assert any(center in g and edge in g for g in T.total.facets)
+        assert face_table(T) == loop_face_table(T)
+
+    def test_extra_key_with_the_full_carrier(self):
+        # f_0 under the full mask counts total vertices, not carrier keys.
+        carriers = {**_SD4.vertex_carrier, 99: (1, 2, 3, 4)}
+        T = Triangulation(_SD4.base, _SD4.total, carriers)
+        assert face_table(T) == loop_face_table(T)
+        assert face_table(T)[0b1111, 1] == 1
+
+    def test_full_mask_without_an_interior_vertex(self):
+        # esd:4 of a tetrahedron has one interior vertex, and faces
+        # joining {1,2}- and {3,4}-carried vertices also have the full
+        # mask: both counts go under one key.
+        T = edgewise(trivial((1, 2, 3, 4)), 4)
+
+        def full_without_interior(g):
+            carriers = [set(T.vertex_carrier[v]) for v in g]
+            return all(len(c) < 4 for c in carriers) and len(set().union(*carriers)) == 4
+
+        assert any(map(full_without_interior, T.total.face_set()))
         assert face_table(T) == loop_face_table(T)
 
     def test_second_call_lists_no_faces(self, monkeypatch):
