@@ -27,8 +27,8 @@ from .triangulate import (
     FTriangle,
     Triangulation,
     _restriction_f_vectors,
-    _restrictions,
     face_table,
+    validate_triangulation,
 )
 
 
@@ -86,13 +86,14 @@ def h_from_local(T: Triangulation) -> Poly:
     """Sum of local h-polynomials of all restrictions.
 
     Inverts :func:`local_h`; the result equals the h-polynomial of
-    ``T.total``, which tests assert independently.  It builds every
-    restriction on purpose, top-down as validation does: summed over
-    the face table alone it would be h(T.total) by algebra, and the
-    round-trip check would prove nothing.
+    ``T.total`` for a sound triangulation.  The restrictions summed over
+    are the built complexes that :func:`validate_triangulation` checks
+    and returns, so a triangulation it rejects raises its message here.
+    Summed over ``T``'s face table alone the result would be h(T.total)
+    by algebra, and a round trip against it would prove nothing.
     """
     _require_simplex_base(T)
-    return add(*map(local_h, _restrictions(T).values()))
+    return add(*map(local_h, validate_triangulation(T).values()))
 
 
 @dataclass(frozen=True)

@@ -97,14 +97,6 @@ def derivative(f: Sequence[Coeff]) -> Poly:
     return normalize(i * f[i] for i in range(1, len(f)))
 
 
-def eval_at(f: Sequence[Coeff], q: Coeff) -> Coeff:
-    """Exact Horner evaluation."""
-    acc: Coeff = 0
-    for c in reversed(f):
-        acc = acc * q + c
-    return acc
-
-
 def reverse(f: Sequence[Coeff], n: int) -> Poly:
     """x^n * f(1/x) for deg(f) <= n; sends the zero polynomial to itself."""
     f = normalize(f)

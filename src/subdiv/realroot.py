@@ -15,10 +15,11 @@ a constant.  Yes/no answers are certified by one sign count at
 index of ``f/g`` reaches ``deg g - deg gcd(f, g)`` (the
 Hermite-Kakeya-Obreschkoff criterion).  Root isolation (Yun's squarefree
 decomposition for multiplicities, and bisection only down to isolating
-intervals whose endpoints are certified non-roots) serves
-``isolate_roots`` and the evidence of ``interlace_report``, which the
-CLI prints with ``--explain``.  No floating point is involved, so a
-``True`` answer is a proof, not an estimate.
+intervals whose endpoints are certified non-roots of their squarefree
+factor) serves ``isolate_roots`` and the evidence of
+``interlace_report``, which the CLI prints with ``--explain``.  No
+floating point is involved, so a ``True`` answer is a proof, not an
+estimate.
 
 Interlacing follows the weak-alternation convention: ``f`` interlaces
 ``g`` when both are real-rooted, ``deg g - 1 <= deg f <= deg g``, and
@@ -220,12 +221,12 @@ def _split(p: Poly, chain, a, b, t, cache) -> tuple:
 def _isolate_squarefree(p: Poly):
     """Isolate the real roots of a squarefree primitive polynomial.
 
-    Returns ``(intervals, exacts, p_final, chain)`` where ``exacts`` are
-    rational roots found on the way, ``intervals`` are open intervals
-    with one root of ``p_final`` each, and endpoints of the intervals
-    are non-roots of the original ``p``.  Some real roots may go
-    undetected only if ``p`` has nonreal roots; callers compare counts
-    against the degree to certify real-rootedness.
+    Returns ``(intervals, exacts)`` where ``exacts`` are rational roots
+    found on the way and ``intervals`` are open intervals with one root
+    of ``p`` each, holding no root in ``exacts`` and with endpoints that
+    are non-roots of ``p``.  Some real roots may go undetected only if
+    ``p`` has nonreal roots; callers compare counts against the degree
+    to certify real-rootedness.
     """
     exacts: list[Fraction] = []
     if p and p[0] == 0:
@@ -245,7 +246,7 @@ def _isolate_squarefree(p: Poly):
             exacts.append(Fraction(-p[0], p[1]))
             p = (p[1],)
         if degree(p) < 1:
-            return [], sorted(exacts), p, None
+            return [], sorted(exacts)
         chain = sturm_chain(p)
         bound = cauchy_bound(p)
         cache: dict = {}
@@ -288,7 +289,7 @@ def _isolate_squarefree(p: Poly):
             exacts.append(a)
         else:
             cleaned.append((a, b))
-    return sorted(cleaned), sorted(exacts), p, chain
+    return sorted(cleaned), sorted(exacts)
 
 
 @dataclass(frozen=True)
@@ -300,10 +301,6 @@ class RootIsolation:
     """
 
     intervals: tuple[tuple[Fraction, Fraction, int], ...]
-
-    @property
-    def exact_roots(self) -> tuple[Fraction, ...]:
-        return tuple(lo for lo, hi, _ in self.intervals if lo == hi)
 
     def pretty(self) -> str:
         if not self.intervals:
@@ -344,16 +341,18 @@ def isolate_roots(f: Poly) -> RootIsolation:
 
     records = []
     for factor, mult in yun_decomposition(f):
-        ivs, exs, pfin, chain = _isolate_squarefree(factor)
+        ivs, exs = _isolate_squarefree(factor)
         if len(ivs) + len(exs) != degree(factor):
             raise ValueError("polynomial has nonreal roots")
         for lo, hi in ivs:
-            records.append([lo, hi, mult, pfin, chain])
+            records.append([lo, hi, mult, factor])
         for c in exs:
-            records.append([c, c, mult, None, None])
+            records.append([c, c, mult, None])
 
     # Refine until intervals from different squarefree factors are
     # pairwise disjoint; factors are coprime, so roots never coincide.
+    # A split point lies inside an interval of its factor, so it is
+    # none of the factor's exact roots.
     while True:
         records.sort(key=lambda r: (r[0], r[1]))
         clash = None
@@ -372,7 +371,7 @@ def isolate_roots(f: Poly) -> RootIsolation:
             if r2[1] - r2[0] > r1[1] - r1[0]:
                 r1, r2 = r2, r1
             t = (r1[0] + r1[1]) / 2
-        r1[0], r1[1] = _split(r1[3], r1[4], r1[0], r1[1], t, {})
+        r1[0], r1[1] = _split(r1[3], sturm_chain(r1[3]), r1[0], r1[1], t, {})
 
     return RootIsolation(tuple((r[0], r[1], r[2]) for r in records))
 

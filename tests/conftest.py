@@ -1,8 +1,17 @@
-"""Shared hypothesis strategies for the test suite."""
+"""Shared hypothesis strategies and oracles for the test suite."""
 
 from hypothesis import strategies as st
 
 from subdiv.poly import normalize
+
+
+def eval_at(f, q):
+    """Exact Horner evaluation: over ``Fraction`` the slow oracle that
+    the library's integer sign kernel is checked against."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * q + c
+    return acc
 
 
 def polys(min_coeff=-9, max_coeff=9, max_len=8):

@@ -8,7 +8,6 @@ test.  Stated runtime caps are asserted, not aspirational.
 
 import hashlib
 import json
-import os
 import pathlib
 import time
 
@@ -135,9 +134,7 @@ def test_criterion_05_edgewise_interlacing_with_boundary(capsys):
 
 def test_criterion_06_second_subdivision_crosscheck(capsys):
     start = time.perf_counter()
-    ns = [1, 2, 3, 4]
-    if os.environ.get("SUBDIV_ACCEPT_N5") == "1":
-        ns.append(5)
+    ns = [1, 2, 3, 4]  # n = 5 is test_criterion_06_second_subdivision_n5, slow
     for n in ns:
         assert second_sd_local_h(n) == local_h(iterated_sd(range(1, n + 1), 2))
     elapsed = time.perf_counter() - start

@@ -6,6 +6,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import eval_at
 from subdiv.complexes import (
     SchemaError,
     SimplicialComplex,
@@ -19,7 +20,7 @@ from subdiv.complexes import (
     h_polynomial,
     is_flag,
 )
-from subdiv.poly import eval_at, parse_poly
+from subdiv.poly import parse_poly
 
 P = parse_poly
 

@@ -108,6 +108,29 @@ class TestHFromLocal:
         T = edgewise(full_stellar(6), 2)
         assert h_from_local(T) == h_polynomial(T.total, 6)
 
+    # The restrictions summed over are validation's, so a triangulation
+    # that validation rejects raises validation's own message.
+    @pytest.mark.parametrize("fault, message", [
+        ("recarried center", "restriction to (1, 2) is not a triangulation of it"),
+        ("off-base carrier", "carrier of 7 is not a nonempty base face: (1, 4)"),
+        ("dropped facet", "restriction to (1, 2) is not a triangulation of it"),
+    ])
+    def test_raises_validation_message(self, fault, message):
+        T = sd3()  # center 7, facets (1, 4, 7), (1, 5, 7), ...
+        carriers, facets = dict(T.vertex_carrier), T.total.facets
+        if fault == "recarried center":
+            carriers[7] = (1, 2)
+        elif fault == "off-base carrier":
+            carriers[7] = (1, 4)
+        else:
+            facets = [f for f in facets if f != (1, 4, 7)]
+        bad = Triangulation(T.base, from_facets(facets), carriers)
+        with pytest.raises(ValueError) as validated:
+            triangulate.validate_triangulation(bad)
+        with pytest.raises(ValueError) as summed:
+            h_from_local(bad)
+        assert str(summed.value) == str(validated.value) == message
+
 
 class TestCoefficients:
     def test_trivial_has_single_entry(self):

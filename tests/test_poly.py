@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import polys
+from conftest import eval_at, polys
 from subdiv.poly import (
     MAX_EXPONENT,
     NotSymmetricError,
@@ -19,7 +19,6 @@ from subdiv.poly import (
     add,
     degree,
     derivative,
-    eval_at,
     format_poly,
     gamma_vector,
     is_symmetric,

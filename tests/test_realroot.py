@@ -14,13 +14,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import eval_at
 from subdiv import realroot
 from subdiv.perm import E_nr, d_nkj, eulerian
 from subdiv.poly import (
     add,
     degree,
     derivative,
-    eval_at,
     mul,
     normalize,
     parse_poly,
@@ -111,10 +111,14 @@ class TestRealRooted:
             assert not is_real_rooted(g), g
 
 
+def _exact_roots(iso):
+    return tuple(lo for lo, hi, _ in iso.intervals if lo == hi)
+
+
 class TestIsolation:
     def test_exact_roots(self):
         iso = isolate_roots(P("x+x^2"))
-        assert set(iso.exact_roots) == {Fraction(-1), Fraction(0)}
+        assert set(_exact_roots(iso)) == {Fraction(-1), Fraction(0)}
         assert [m for _, _, m in iso.intervals] == [1, 1]
 
     def test_multiplicity(self):
@@ -125,7 +129,7 @@ class TestIsolation:
         f = P("1+4x+x^2")  # roots -2-sqrt(3), -2+sqrt(3)
         iso = isolate_roots(f)
         assert len(iso.intervals) == 2
-        assert iso.exact_roots == ()
+        assert _exact_roots(iso) == ()
         for lo, hi, mult in iso.intervals:
             assert mult == 1
             assert lo < hi
@@ -365,7 +369,7 @@ def _oracle_real_rooted(f):
 
 
 def _oracle_slots(sf):
-    ivs, exs, _, _ = _isolate_squarefree(sf)
+    ivs, exs = _isolate_squarefree(sf)
     slots = [(c, c) for c in exs] + [(a, b) for a, b in ivs]
     slots.sort(key=lambda s: (s[0] + s[1]) / 2)
     return slots
@@ -809,3 +813,62 @@ class TestPinnedOutput:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == (
             "d8dde62f7208d7af19ff3d1f8bfa1e2386757019304130a7557eb086fada0dc2")
+
+
+def _repeated_corpus():
+    """Real-rooted products of two to four pieces, each raised to a power
+    of 1 to 3: linear ``b x + a`` (rational roots) and quadratics with a
+    positive non-square discriminant (conjugate irrational roots).  Most
+    have several Yun factors whose intervals clash, and some factors
+    have rational roots that bisection finds and deflates."""
+    rng = random.Random(20261020)
+    polys = []
+    for _ in range(500):
+        f = (rng.choice((-3, -1, 1, 2)),)
+        for _ in range(rng.randint(2, 4)):
+            if rng.random() < 0.5:
+                piece = (rng.randint(-6, 6), rng.randint(1, 4))
+            else:
+                while True:
+                    a, b, c = rng.randint(1, 3), rng.randint(-5, 5), rng.randint(-6, 6)
+                    disc = b * b - 4 * a * c
+                    if disc > 0 and math.isqrt(disc) ** 2 != disc:
+                        break
+                piece = (c, b, a)
+            f = mul(f, power(piece, rng.choice((1, 1, 2, 2, 3))))
+        polys.append(f)
+    return polys
+
+
+class TestRepeatedRoots:
+    def test_corpus_covers_the_cases(self):
+        isolations = [(f, isolate_roots(f)) for f in _repeated_corpus()]
+        assert sum(len(yun_decomposition(f)) > 1 for f, _ in isolations) > 300
+        entries = [e for _, iso in isolations for e in iso.intervals]
+        assert any(lo == hi and m > 1 for lo, hi, m in entries)
+        assert any(lo < hi and m > 1 for lo, hi, m in entries)
+
+    def test_isolation_digest(self):
+        # Pinned before isolate_roots dropped the deflated polynomial.
+        lines = [isolate_roots(f).pretty() for f in _repeated_corpus()]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == (
+            "9afa4c9df056337d8cbd7750ae4c23b5a219c457a212663c20807fe2fa64f4a3")
+
+    def test_endpoints_and_multiplicities(self):
+        # An open interval may end at another factor's exact root, which
+        # is then its own entry; any other endpoint is a non-root of f,
+        # and the factor of the interval's multiplicity changes sign
+        # across it.
+        for f in _repeated_corpus():
+            iso = isolate_roots(f)
+            factors = {m: p for p, m in yun_decomposition(f)}
+            exact = set(_exact_roots(iso))
+            for lo, hi, m in iso.intervals:
+                if lo == hi:
+                    assert eval_at(f, lo) == 0 and eval_at(factors[m], lo) == 0
+                    continue
+                for x in (lo, hi):
+                    assert x in exact or eval_at(f, x) != 0, (f, x)
+                assert eval_at(factors[m], lo) * eval_at(factors[m], hi) < 0, (f, lo, hi)
+            assert sum(m for *_, m in iso.intervals) == degree(f)
