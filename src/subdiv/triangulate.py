@@ -16,10 +16,10 @@ from itertools import (
     accumulate,
     chain,
     combinations,
-    combinations_with_replacement,
     compress,
     filterfalse,
     permutations,
+    product,
     repeat,
 )
 from math import factorial
@@ -198,47 +198,37 @@ def barycentric(T: Triangulation) -> Triangulation:
     return Triangulation(T.base, _from_sorted_facets(facets, labels), carriers)
 
 
-def _edgewise_chains(m: int, r: int):
-    """Maximal chains of the r-fold dilation of an (m-1)-simplex.
-
-    A point is encoded by its partial-sum vector ``t`` with the last
-    entry pinned to r.  Chains grow by bumping one free position at a
-    time, legal while the vector stays nondecreasing.
-    """
-    for start in combinations_with_replacement(range(r + 1), m - 1):
-        stack = [(start + (r,), frozenset(range(m - 1)), (start + (r,),))]
-        while stack:
-            t, free, chain = stack.pop()
-            if not free:
-                yield chain
-                continue
-            for j in free:
-                nxt = t[j + 1]
-                if t[j] < nxt:
-                    bumped = t[:j] + (t[j] + 1,) + t[j + 1:]
-                    stack.append((bumped, free - {j}, chain + (bumped,)))
-
-
 def _edgewise_pattern(m: int, r: int):
     """Local points and chains of an m-vertex facet under esd:r.
 
     A point is a tuple of (position, weight) pairs with positive
-    weights, listed in the order :func:`_edgewise_chains` first reaches
-    them.  The chains come in the order it walks them, each a tuple of
-    indices into the points, sorted by point.
+    weights, or its partial sums t, nondecreasing with t[m-1] = r.  A
+    chain starts at some t with t[m-2] < r and bumps each of t[0..m-2]
+    once, staying nondecreasing, so the last entry of a run of equal
+    entries goes first.  The chains are thus indexed by the r^(m-1)
+    words w in {0..r-1}^(m-1) (Edelsbrunner and Grayson): w's chain
+    starts at sorted(w) and bumps the stable sort rank of position j,
+    for j = m-2 down to 0.  The points are listed in sorted order and
+    the chains in word order, each a sorted tuple of point indices.
     """
-    points: dict[tuple[tuple[int, int], ...], int] = {}
-    chains = []
-    for chain in _edgewise_chains(m, r):
-        local = []
-        for t in chain:
-            p = tuple((i, t[i] - (t[i - 1] if i else 0))
-                      for i in range(m) if t[i] > (t[i - 1] if i else 0))
-            local.append(points.setdefault(p, len(points)))
-        chains.append(local)
-    assert len(chains) == r ** (m - 1)
-    listed = list(points)
-    return listed, [tuple(sorted(c, key=listed.__getitem__)) for c in chains]
+    walks = []
+    for w in product(range(r), repeat=m - 1):
+        ranked = sorted(range(m - 1), key=w.__getitem__)
+        rank = sorted(range(m - 1), key=ranked.__getitem__)
+        t = [*sorted(w), r]
+        walk = [_weights(t)]
+        for k in reversed(rank):
+            t[k] += 1
+            walk.append(_weights(t))
+        walks.append(walk)
+    points = sorted(set(chain.from_iterable(walks)))
+    index = {p: i for i, p in enumerate(points)}
+    return points, [tuple(sorted(map(index.__getitem__, walk))) for walk in walks]
+
+
+def _weights(t) -> tuple[tuple[int, int], ...]:
+    """The (position, weight) pairs of the partial sums ``t``."""
+    return tuple((i, b - a) for i, (a, b) in enumerate(zip([0, *t], t)) if b > a)
 
 
 def edgewise(T: Triangulation, r: int) -> Triangulation:
@@ -246,11 +236,11 @@ def edgewise(T: Triangulation, r: int) -> Triangulation:
 
     Vertices are the integer weightings of total vertices summing to r,
     supported on a face, numbered in sorted order.  Partial sums run
-    over each facet's vertices in increasing id order.  The chains of
-    an m-vertex facet are walked and sorted once per call.  Naming a
-    facet's local points, (i, w) -> (h[i], w), keeps their order, so a
-    sorted chain maps onto a facet as a sorted tuple of ids; each
-    facet's points are registered once, in pattern order.
+    over each facet's vertices in increasing id order.  An m-vertex
+    facet splits into r^(m-1) facets, one per word in {0..r-1}^(m-1),
+    read off once per call for each facet size (:func:`_edgewise_pattern`).
+    Naming a facet's local points, (i, w) -> (h[i], w), keeps their
+    order, so a sorted chain maps onto a facet as a sorted tuple of ids.
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
@@ -265,9 +255,8 @@ def edgewise(T: Triangulation, r: int) -> Triangulation:
         points, chains = patterns[m]
         named_chains.append(([tuple((h[i], w) for i, w in p) for p in points], chains))
 
-    point_ids = dict.fromkeys(chain.from_iterable(named for named, _ in named_chains), 0)
-    for i, p in enumerate(sorted(point_ids), start=1):
-        point_ids[p] = i
+    named_points = set(chain.from_iterable(named for named, _ in named_chains))
+    point_ids = {p: i for i, p in enumerate(sorted(named_points), start=1)}
 
     facets = []
     for named, chains in named_chains:
@@ -562,10 +551,12 @@ class FTriangle:
 def f_triangle_of(T: Triangulation) -> FTriangle:
     """Face-count triangle of ``T``; raises NotUniformError if mixed.
 
-    The base must be pure.  Row j is the f-vector of the restriction to
-    any j-vertex base face, read off :func:`face_table` after checking
-    that they all agree.
+    The base must be pure and not void.  Row j is the f-vector of the
+    restriction to any j-vertex base face, read off :func:`face_table`
+    after checking that they all agree.
     """
+    if T.base.is_void:
+        raise ValueError("the base complex must not be void")
     if not T.base.is_pure():
         raise ValueError("the base complex must be pure")
     n = T.base.dimension() + 1

@@ -479,7 +479,7 @@ _SUITES = {
     "prop-lnkj": (
         "structure of the two-parameter family: positivity, reversal, recurrences",
         {"kinds": ("sd", "esd:2", "esd:3")},
-        lambda o: ({"kind": kind, "size": 5 if kind.endswith(":3") else 6, "part": p}
+        lambda o: ({"kind": kind, "size": 5 if parse_kind(kind) == 3 else 6, "part": p}
                    for kind in o["kinds"] for p in "abcdef"),
         _case_prop_lnkj,
     ),

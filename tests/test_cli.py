@@ -380,6 +380,13 @@ class TestFTriangle:
         assert code == 1
         assert "not uniform" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_void_input_exits_two(self, capsys, tmp_path, fmt):
+        path = tmp_path / "void.json"
+        path.write_text('{"vertices": [], "facets": []}')
+        assert run(capsys, "ftriangle", "--input", str(path), "--format", fmt) == (
+            2, "", "error: the base complex must not be void\n")
+
     @pytest.mark.parametrize("kind, n, message", [
         ("sd", "9", "sd would build more than 40320 facets"),
         ("esd:1", "9", "a simplex on 9 vertices is past the limit of 8"),

@@ -371,26 +371,44 @@ class TestEdgewise:
 
 
 def chain_walk_edgewise(T: Triangulation, r: int) -> Triangulation:
-    """Oracle for :func:`edgewise`: every facet walks its own chains."""
-    point_ids = {}
+    """Oracle for :func:`edgewise`: every facet walks its own chains,
+    and the points are numbered in sorted order."""
     local_facets = []
     for h in T.total.facets:
         m = len(h)
         if m == 0:
             local_facets.append(())
             continue
-        for chain in triangulate_mod._edgewise_chains(m, r):
+        for chain in walk_chains(m, r):
             local_facets.append(tuple(tuple((h[i], w) for i, w in _local_point(t))
                                       for t in chain))
-    for f in local_facets:
-        for p in f:
-            point_ids.setdefault(p, 0)
-    for i, p in enumerate(sorted(point_ids), start=1):
-        point_ids[p] = i
+    points = sorted({p for f in local_facets for p in f})
+    point_ids = {p: i for i, p in enumerate(points, start=1)}
     facets = [tuple(sorted(point_ids[p] for p in f)) for f in local_facets]
     labels = {i: " ".join(f"{v}^{c}" for v, c in p) for p, i in point_ids.items()}
     carriers = {point_ids[p]: carrier(T, [v for v, _ in p]) for p in point_ids}
     return Triangulation(T.base, from_facets(facets, labels), carriers)
+
+
+def walk_chains(m: int, r: int):
+    """Maximal chains of the r-fold dilation of an (m-1)-simplex, by
+    depth-first search.
+
+    A point is encoded by its partial-sum vector ``t`` with the last
+    entry pinned to r.  Chains grow by bumping one free position at a
+    time, legal while the vector stays nondecreasing.
+    """
+    for start in itertools.combinations_with_replacement(range(r + 1), m - 1):
+        stack = [(start + (r,), frozenset(range(m - 1)), (start + (r,),))]
+        while stack:
+            t, free, chain = stack.pop()
+            if not free:
+                yield chain
+                continue
+            for j in free:
+                if t[j] < t[j + 1]:
+                    bumped = t[:j] + (t[j] + 1,) + t[j + 1:]
+                    stack.append((bumped, free - {j}, chain + (bumped,)))
 
 
 def _local_point(t) -> tuple:
@@ -406,17 +424,20 @@ def _wire_bytes(T: Triangulation) -> tuple:
 
 
 class TestEdgewisePattern:
-    """One chain pattern per facet size, against walking every facet."""
+    """One chain pattern per facet size, read off its words, against
+    walking every facet's chains."""
 
-    @pytest.mark.parametrize("m,r", [(1, 3), (3, 4), (4, 6)])
+    @pytest.mark.parametrize("m,r", itertools.product(range(1, 7), range(1, 7)))
     def test_chains_sorted_by_point(self, m, r):
         points, chains = triangulate_mod._edgewise_pattern(m, r)
-        assert len(points) == len(set(points)) == math.comb(m + r - 1, m - 1)
-        assert all(list(map(points.__getitem__, c)) == sorted(map(points.__getitem__, c))
-                   for c in chains)
-        walked = [sorted(map(points.index, map(_local_point, chain)))
-                  for chain in triangulate_mod._edgewise_chains(m, r)]
-        assert [sorted(c) for c in chains] == walked
+        assert points == sorted(set(points))
+        assert len(points) == math.comb(m + r - 1, m - 1)
+        assert all(list(c) == sorted(c) for c in chains)
+        assert len(chains) == len(set(chains)) == r ** (m - 1)
+        index = {p: i for i, p in enumerate(points)}
+        walked = {tuple(sorted(index[_local_point(t)] for t in chain))
+                  for chain in walk_chains(m, r)}
+        assert set(chains) == walked
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 5), st.integers(0, 3), st.integers(0, 10**6),
@@ -1295,6 +1316,8 @@ class TestStructuralProperties:
 
 def restriction_f_triangle_of(T):
     """Row j read off a rebuilt restriction to each j-vertex base face."""
+    if T.base.is_void:
+        raise ValueError("the base complex must not be void")
     if not T.base.is_pure():
         raise ValueError("the base complex must be pure")
     n = T.base.dimension() + 1
@@ -1328,8 +1351,9 @@ class TestFTriangleOfFaceTable:
         Triangulation(full_simplex(()), from_facets([]), {}),
         Triangulation(full_simplex((1, 2, 3)), from_facets([]), {}),
         identity(from_facets([(1, 2), (3,)])),
+        identity(from_facets([])),
     ], ids=["esd-counterexample", "non-uniform", "trivial-empty", "void-0",
-            "void-3", "non-pure"])
+            "void-3", "non-pure", "void-base"])
     def test_fixed_cases(self, T):
         assert outcome(f_triangle_of, T) == outcome(restriction_f_triangle_of, T)
 

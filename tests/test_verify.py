@@ -261,6 +261,14 @@ class TestCaseValues:
         report = run_suite("thm-sd", ns=(2,), seeds=(9,), steps=6)
         assert "steps=2" in report.cases[0].detail
 
+    @pytest.mark.parametrize("kind, size", [
+        ("esd:3", 5), ("esd:03", 5), ("esd:13", 6), ("sd", 6)])
+    def test_lnkj_size_follows_r_not_spelling(self, kind, size):
+        # esd:13 on 6 vertices is refused at FACETS_CAP, a failed case.
+        report = run_suite("prop-lnkj", kinds=(kind,))
+        assert {dict(case.params)["size"] for case in report.cases} == {size}
+        assert report.ok == (kind != "esd:13")
+
 
 class TestEnumerationCap:
     """verify's own sweeps over S_m stop at perm's desk-scale bound."""
