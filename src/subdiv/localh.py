@@ -113,11 +113,6 @@ class CoefficientMatrix:
             if len(row) != self.n - k + 1:
                 raise ValueError(f"row {k} must have {self.n - k + 1} entries")
 
-    def c(self, k: int, j: int) -> int:
-        if not (0 <= k and 0 <= j and k + j <= self.n):
-            raise ValueError(f"need k, j >= 0 with k + j <= {self.n}")
-        return self.rows[k][j]
-
     def entries(self) -> tuple[tuple[int, int, int], ...]:
         """Nonzero (k, j, value) triples in row-major order."""
         return tuple((k, j, v) for k, row in enumerate(self.rows)

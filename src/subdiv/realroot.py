@@ -2,23 +2,25 @@
 
 A polynomial's rational coefficients are cleared once, where it enters;
 signed remainder sequences (sign-correct pseudo-remainders, stripped of
-content), Yun's squarefree decomposition and root deflation then run in
-integers.  So do sign counts: at a rational point ``p/q`` with ``q > 0``
-the sign of ``f(p/q)`` is that of the integer ``q^d * f(p/q)``, taken by
-Horner in ints.  ``Fraction`` is left only in interval endpoints,
-bisection midpoints and root bounds.  The signed remainder sequence is
-the only gcd routine: its last entry is the gcd of its two inputs up to
-a constant.  Yes/no answers are certified by one sign count at
-+-infinity each, which reads only leading coefficients and degrees:
-``f`` is real-rooted when the Sturm count of distinct real roots reaches
+content), exact division and root deflation then run in integers.  So do
+sign counts: at a rational point ``p/q`` with ``q > 0`` the sign of
+``f(p/q)`` is that of the integer ``q^d * f(p/q)``, taken by Horner in
+ints.  ``Fraction`` is left only in interval endpoints, bisection
+midpoints and root bounds.  The signed remainder sequence is the only
+gcd routine: its last entry is the gcd of its two inputs up to a
+constant.  Yes/no answers are certified by one sign count at +-infinity
+each, which reads only leading coefficients and degrees: ``f`` is
+real-rooted when the Sturm count of distinct real roots reaches
 ``deg f - deg gcd(f, f')``, and ``f`` interlaces ``g`` when the Cauchy
 index of ``f/g`` reaches ``deg g - deg gcd(f, g)`` (the
-Hermite-Kakeya-Obreschkoff criterion).  Root isolation (Yun's squarefree
-decomposition for multiplicities, and bisection only down to isolating
-intervals whose endpoints are certified non-roots of their squarefree
-factor) serves ``isolate_roots`` and the evidence of
-``interlace_report``, which the CLI prints with ``--explain``.  No
-floating point is involved, so a ``True`` answer is a proof, not an
+Hermite-Kakeya-Obreschkoff criterion).  Root isolation serves
+``isolate_roots`` and the evidence of ``interlace_report``, which the
+CLI prints with ``--explain``.  It bisects the squarefree part
+``f / gcd(f, f')`` once, only down to isolating intervals, and reads
+each multiplicity off the Sturm chains of ``f``, of ``gcd(f, f')``, and
+so on.  The ends of an open interval are non-roots of ``f``; a root is
+printed exactly when an integer probe or a bisection midpoint finds it.
+No floating point is involved, so a ``True`` answer is a proof, not an
 estimate.
 
 Interlacing follows the weak-alternation convention: ``f`` interlaces
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .poly import Poly, degree, derivative, normalize, sub
+from .poly import Poly, degree, derivative, normalize
 
 _SCAN_LIMIT = 64  # integer root candidates probed before bisection
 
@@ -103,35 +105,6 @@ def _exact_quotient(f: Poly, g: Poly) -> Poly:
     if any(r):
         raise ArithmeticError("division was expected to be exact")
     return tuple(q)
-
-
-def yun_decomposition(f: Poly) -> list[tuple[Poly, int]]:
-    """Squarefree factors of ``f`` with multiplicities, ascending.
-
-    Factors are primitive integer polynomials with positive leading
-    coefficient and are pairwise coprime; their product with the stated
-    multiplicities equals ``f`` up to a constant.  Constants decompose
-    to an empty list.
-    """
-    f = normalize(f)
-    if not f:
-        raise ValueError("cannot decompose the zero polynomial")
-    if degree(f) == 0:
-        return []
-    g = sturm_chain(f)[-1]
-    f = _int_primitive(f)
-    b = _exact_quotient(f, g)
-    d = sub(_exact_quotient(derivative(f), g), derivative(b))
-    out: list[tuple[Poly, int]] = []
-    i = 1
-    while degree(b) > 0:
-        a = _remainder_sequence(b, d)[-1]
-        if degree(a) > 0:
-            out.append((_pos_primitive(a), i))
-        b, c = _exact_quotient(b, a), _exact_quotient(d, a)
-        d = sub(c, derivative(b))
-        i += 1
-    return out
 
 
 def _remainder_sequence(a: Poly, b: Poly) -> tuple[Poly, ...]:
@@ -296,8 +269,10 @@ def _isolate_squarefree(p: Poly):
 class RootIsolation:
     """Disjoint intervals, one per distinct real root, with multiplicity.
 
-    Entries are ``(lo, hi, mult)`` in increasing order; a rational root
-    found exactly during isolation appears degenerate, ``lo == hi``.
+    Entries are ``(lo, hi, mult)`` in increasing order.  An open
+    interval ``lo < hi`` holds one root and ends at non-roots of the
+    polynomial; a rational root that an integer probe or a bisection
+    midpoint found exactly appears degenerate, ``lo == hi``.
     """
 
     intervals: tuple[tuple[Fraction, Fraction, int], ...]
@@ -330,6 +305,8 @@ def is_real_rooted(f: Poly) -> bool:
 def isolate_roots(f: Poly) -> RootIsolation:
     """Certified isolation of all roots of a real-rooted polynomial.
 
+    The ends of every open interval are non-roots of ``f``, and a root
+    is exact when an integer probe or a bisection midpoint finds it.
     Raises ``ValueError`` for the zero polynomial and for polynomials
     with nonreal roots.
     """
@@ -339,41 +316,22 @@ def isolate_roots(f: Poly) -> RootIsolation:
     if degree(f) == 0:
         return RootIsolation(())
 
-    records = []
-    for factor, mult in yun_decomposition(f):
-        ivs, exs = _isolate_squarefree(factor)
-        if len(ivs) + len(exs) != degree(factor):
-            raise ValueError("polynomial has nonreal roots")
-        for lo, hi in ivs:
-            records.append([lo, hi, mult, factor])
-        for c in exs:
-            records.append([c, c, mult, None])
-
-    # Refine until intervals from different squarefree factors are
-    # pairwise disjoint; factors are coprime, so roots never coincide.
-    # A split point lies inside an interval of its factor, so it is
-    # none of the factor's exact roots.
-    while True:
-        records.sort(key=lambda r: (r[0], r[1]))
-        clash = None
-        for r1, r2 in zip(records, records[1:]):
-            lo = max(r1[0], r2[0])
-            hi = min(r1[1], r2[1])
-            if lo < hi or (r2[0] == r2[1] and r1[0] < r2[0] < r1[1]):
-                clash = (r1, r2)
-                break
-        if clash is None:
-            break
-        r1, r2 = clash
-        if r2[0] == r2[1] and r1[0] < r2[0] < r1[1]:
-            t = r2[0]
-        else:
-            if r2[1] - r2[0] > r1[1] - r1[0]:
-                r1, r2 = r2, r1
-            t = (r1[0] + r1[1]) / 2
-        r1[0], r1[1] = _split(r1[3], sturm_chain(r1[3]), r1[0], r1[1], t, {})
-
-    return RootIsolation(tuple((r[0], r[1], r[2]) for r in records))
+    # Each chain's last entry is the gcd of its head and the head's
+    # derivative, so a root of f of multiplicity m is a root of the
+    # first m heads.  The ends of p's intervals are non-roots of p,
+    # hence of every head, and each interval holds one root.
+    chains = [sturm_chain(f)]
+    while degree(chains[-1][-1]) > 0:
+        chains.append(sturm_chain(chains[-1][-1]))
+    p = _pos_primitive(_exact_quotient(chains[0][0], chains[0][-1]))
+    intervals, exacts = _isolate_squarefree(p)
+    if len(intervals) + len(exacts) != degree(p):
+        raise ValueError("polynomial has nonreal roots")
+    entries = [(c, c, 1 + sum(_scaled_value(ch[0], c) == 0 for ch in chains[1:]))
+               for c in exacts]
+    entries += [(a, b, 1 + sum(_count_roots(ch, a, b, {}) for ch in chains[1:]))
+                for a, b in intervals]
+    return RootIsolation(tuple(sorted(entries)))
 
 
 def _interlace_core(f: Poly, g: Poly) -> tuple[bool, str]:

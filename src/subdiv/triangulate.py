@@ -542,11 +542,6 @@ class FTriangle:
             if j >= 1 and row[1] < j:
                 raise ValueError(f"f(1,{j}) must be at least {j}, got {row[1]}")
 
-    def f(self, i: int, j: int) -> int:
-        if not 0 <= i <= j <= self.n:
-            raise ValueError(f"need 0 <= i <= j <= {self.n}, got ({i}, {j})")
-        return self.rows[j][i]
-
 
 def f_triangle_of(T: Triangulation) -> FTriangle:
     """Face-count triangle of ``T``; raises NotUniformError if mixed.

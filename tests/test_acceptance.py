@@ -173,8 +173,8 @@ def test_criterion_08_interlacing_sequences(capsys):
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         announce(8, elapsed,
-                 "(d_nkj)_j certified interlacing via root isolation for "
-                 "n <= 6, all k")
+                 "(d_nkj)_j certified interlacing via Cauchy-index sign "
+                 "counts for n <= 6, all k")
 
 
 def test_criterion_09_dilation_formulas(capsys):

@@ -136,7 +136,7 @@ class TestCoefficients:
     def test_trivial_has_single_entry(self):
         c = c_coefficients(trivial((1, 2, 3, 4)))
         assert c.entries() == ((4, 0, 1),)
-        assert c.c(4, 0) == 1 and c.c(0, 1) == 0
+        assert c.rows[4][0] == 1 and c.rows[0][1] == 0
 
     def test_barycentric_triangle(self):
         c = c_coefficients(sd3())
@@ -146,11 +146,6 @@ class TestCoefficients:
         c = c_coefficients(full_stellar(4))
         assert c.entries() == ((0, 1, 1), (0, 2, 1), (0, 3, 1), (4, 0, 1))
 
-    def test_accessor_range(self):
-        c = c_coefficients(trivial((1, 2)))
-        with pytest.raises(ValueError):
-            c.c(1, 2)
-
     def test_shape_is_validated(self):
         with pytest.raises(ValueError):
             CoefficientMatrix(2, ((0, 1), (0,), (1,)))
@@ -159,7 +154,7 @@ class TestCoefficients:
     def test_corner_entry_and_nonnegativity(self, seed):
         T = random_triangulation((1, 2, 3), 3, seed=seed)
         c = c_coefficients(T)
-        assert c.c(3, 0) == 1
+        assert c.rows[3][0] == 1
         assert all(v >= 0 for _, _, v in c.entries())
 
 

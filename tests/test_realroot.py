@@ -44,7 +44,6 @@ from subdiv.realroot import (
     is_real_rooted,
     isolate_roots,
     sturm_chain,
-    yun_decomposition,
 )
 
 P = parse_poly
@@ -67,12 +66,6 @@ class TestSquarefree:
 
     def test_sign_normalization(self):
         assert _oracle_squarefree((-1, -2, -1)) == (1, 1)
-
-    def test_yun(self):
-        # x (1+x)^3 (2+x)^2
-        f = mul(mul((0, 1), power((1, 1), 3)), power((2, 1), 2))
-        decomp = yun_decomposition(f)
-        assert dict((m, a) for a, m in decomp) == {1: (0, 1), 2: (2, 1), 3: (1, 1)}
 
 
 class TestRealRooted:
@@ -485,16 +478,13 @@ class TestTrailingZeros:
         f, g = pair
         pad = (0,) * zeros
         for p in (f, g, mul(f, g)):
-            for fn in (isolate_roots, sturm_chain, yun_decomposition,
-                       cauchy_bound, is_real_rooted):
+            for fn in (isolate_roots, sturm_chain, cauchy_bound, is_real_rooted):
                 assert _outcome(fn, p + pad) == _outcome(fn, p), (fn.__name__, p)
         assert interlace_report(f + pad, g + pad) == interlace_report(f, g)
 
     def test_reported_cases(self):
         assert isolate_roots((1, 1, 0)) == isolate_roots((1, 1))
         assert sturm_chain((0,)) == sturm_chain(()) == ((),)
-        assert yun_decomposition((1, 1, 0)) == [((1, 1), 1)]
-        assert yun_decomposition((3, 0)) == yun_decomposition((3,)) == []
         with pytest.raises(ValueError, match="zero polynomial"):
             isolate_roots((0, 0))
 
@@ -588,12 +578,10 @@ def _check_against_fraction(f, g):
     assert sturm_chain(f) == _oracle_remainder_sequence(f, derivative(f))
     if f and g:
         assert _remainder_sequence(f, g) == _oracle_remainder_sequence(f, g)
-    if f:
-        assert yun_decomposition(f) == _oracle_yun(f)
 
 
 class TestIntegerDivisionAgainstFraction:
-    """The integer chain, Yun and deflation against a ``Fraction`` route."""
+    """The integer chain and deflation against a ``Fraction`` route."""
 
     @settings(max_examples=300, deadline=None)
     @given(_rational_polys(), _rational_polys())
@@ -603,7 +591,6 @@ class TestIntegerDivisionAgainstFraction:
     def test_fraction_negative_lead_and_repeated_roots(self):
         cubed = power((Fraction(-1, 3), 1), 3)
         f = mul(cubed, (1, 0, -2))
-        assert yun_decomposition(f) == [((-1, 0, 2), 1), ((-1, 3), 3)]
         for f, g in [(f, cubed), ((3, -1, -1, -1, 2), (-1, 1, 3, -1, -2)),
                      (tuple(Fraction(c, 4) for c in (8, 4, -1)), (1, Fraction(-5, 2)))]:
             _check_against_fraction(f, g)
@@ -641,22 +628,12 @@ def _proportional(p, q):
 class TestChainTailGcd:
     @settings(max_examples=300, deadline=None)
     @given(_poly_pairs())
-    def test_tails_factors_and_coprimality(self, pair):
+    def test_tails(self, pair):
         f, g = pair
         if f:
             assert _proportional(sturm_chain(f)[-1], _oracle_gcd(f, derivative(f)))
         if f and g:
             assert _proportional(_remainder_sequence(f, g)[-1], _oracle_gcd(f, g))
-        if degree(f) < 1:
-            return
-        decomp = yun_decomposition(f)
-        product = (1,)
-        for factor, mult in decomp:
-            product = mul(product, power(factor, mult))
-        assert _proportional(product, f)
-        for i, (a, _) in enumerate(decomp):
-            for b, _ in decomp[i + 1:]:
-                assert _oracle_gcd(a, b) == (1,)
 
 
 def _sign(v):
@@ -794,12 +771,22 @@ class TestPinnedOutput:
         assert any(degree(p) == 0 for p in polys)
         assert any(p and p[-1] < 0 for p in polys)
         assert any(p and not is_real_rooted(p) for p in polys)
-        assert any(any(m > 1 for _, m in yun_decomposition(p))
+        assert any(any(m > 1 for _, m in _oracle_yun(p))
                    for p in polys if degree(p) > 0)
         assert any(degree(_oracle_gcd(f, g)) > 0
                    for f, g in pairs if f and g)
 
+    def test_answers_and_reasons_digest(self):
+        # Sign counts at +-infinity decide these; no interval is read.
+        lines = [repr((rep.ok, rep.reason))
+                 for rep in (interlace_report(f, g) for f, g in _pin_corpus())]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == (
+            "953cd65a911927e2be1efdde2f60b844da0fadce0078448507dea3ea6b64fe31")
+
     def test_reports_and_decompositions_digest(self):
+        # Decompositions come from the oracle, so only printed intervals
+        # and answers can move this pin.
         def pretty(iso):
             return iso.pretty() if iso else None
 
@@ -808,19 +795,41 @@ class TestPinnedOutput:
             rep = interlace_report(f, g)
             lines.append(repr((
                 rep.ok, rep.reason, pretty(rep.f_isolation), pretty(rep.g_isolation),
-                [yun_decomposition(p) if p else None for p in (f, g)],
+                [_oracle_yun(p) if p else None for p in (f, g)],
             )))
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == (
-            "d8dde62f7208d7af19ff3d1f8bfa1e2386757019304130a7557eb086fada0dc2")
+            "1b0f761b2f614bef5c4c63d22b90a552ad64ce2fed2ff592778629f34cb68f00")
+
+    def test_squarefree_isolation_digest(self):
+        # Squarefree input reaches only _isolate_squarefree's bisection.
+        polys = _squarefree_corpus()
+        assert len(polys) == 494
+        lines = [isolate_roots(p).pretty() for p in polys]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == (
+            "2fb637a14b4cd25975292ca69d473cf7f3eb9db48e4c362b563739f8c510bafb")
+
+
+def _squarefree_corpus():
+    """The nonzero real-rooted squarefree members of the pin corpus, the
+    Eulerian polynomials, the ``d_nkj`` for n <= 6 and the ``E_nr`` for
+    n, r <= 6, in that order."""
+    polys = [p for pair in _pin_corpus() for p in pair]
+    polys += [eulerian(n) for n in range(1, 11)]
+    polys += [d_nkj(n, k, j) for n in range(7)
+              for k in range(n + 1) for j in range(n + 1)]
+    polys += [E_nr(n, r) for n in range(1, 7) for r in range(1, 7)]
+    return [p for p in polys
+            if p and is_real_rooted(p) and degree(sturm_chain(p)[-1]) == 0]
 
 
 def _repeated_corpus():
     """Real-rooted products of two to four pieces, each raised to a power
     of 1 to 3: linear ``b x + a`` (rational roots) and quadratics with a
     positive non-square discriminant (conjugate irrational roots).  Most
-    have several Yun factors whose intervals clash, and some factors
-    have rational roots that bisection finds and deflates."""
+    have roots of several multiplicities, and some have rational roots
+    that bisection finds and deflates."""
     rng = random.Random(20261020)
     polys = []
     for _ in range(500):
@@ -843,32 +852,49 @@ def _repeated_corpus():
 class TestRepeatedRoots:
     def test_corpus_covers_the_cases(self):
         isolations = [(f, isolate_roots(f)) for f in _repeated_corpus()]
-        assert sum(len(yun_decomposition(f)) > 1 for f, _ in isolations) > 300
+        assert sum(len(_oracle_yun(f)) > 1 for f, _ in isolations) > 300
         entries = [e for _, iso in isolations for e in iso.intervals]
         assert any(lo == hi and m > 1 for lo, hi, m in entries)
         assert any(lo < hi and m > 1 for lo, hi, m in entries)
 
     def test_isolation_digest(self):
-        # Pinned before isolate_roots dropped the deflated polynomial.
         lines = [isolate_roots(f).pretty() for f in _repeated_corpus()]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == (
-            "9afa4c9df056337d8cbd7750ae4c23b5a219c457a212663c20807fe2fa64f4a3")
+            "d10df64fdea111a9f80e3da95bb297b829eb1321115fbba58d8f11eb9dcd7781")
 
     def test_endpoints_and_multiplicities(self):
-        # An open interval may end at another factor's exact root, which
-        # is then its own entry; any other endpoint is a non-root of f,
-        # and the factor of the interval's multiplicity changes sign
-        # across it.
+        # Every open interval ends at non-roots of f, entries are
+        # disjoint, and the oracle's factor of an entry's multiplicity
+        # vanishes at it or changes sign across it.
         for f in _repeated_corpus():
             iso = isolate_roots(f)
-            factors = {m: p for p, m in yun_decomposition(f)}
-            exact = set(_exact_roots(iso))
+            factors = {m: p for p, m in _oracle_yun(f)}
             for lo, hi, m in iso.intervals:
                 if lo == hi:
-                    assert eval_at(f, lo) == 0 and eval_at(factors[m], lo) == 0
+                    assert eval_at(factors[m], lo) == 0, (f, lo)
                     continue
-                for x in (lo, hi):
-                    assert x in exact or eval_at(f, x) != 0, (f, x)
+                assert eval_at(f, lo) != 0 and eval_at(f, hi) != 0, (f, lo, hi)
                 assert eval_at(factors[m], lo) * eval_at(factors[m], hi) < 0, (f, lo, hi)
+            for (a, b, _), (c, d, _) in zip(iso.intervals, iso.intervals[1:]):
+                assert b < c or a < b == c < d, (f, b, c)
             assert sum(m for *_, m in iso.intervals) == degree(f)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_poly_pairs())
+    def test_drawn_pairs_against_oracle(self, pair):
+        # Slots are isolate_roots' own entries; the oracle counts each
+        # one through f, gcd(f, f'), ... over Fraction.
+        for f in pair:
+            if not f or not _oracle_real_rooted(f):
+                continue
+            entries = isolate_roots(f).intervals
+            slots = [(lo, hi) for lo, hi, _ in entries]
+            mults = [m for *_, m in entries]
+            assert mults == _oracle_multiplicities(f, slots), f
+            assert sum(mults) == degree(f), f
+            sf = _oracle_squarefree(f)
+            for lo, hi in slots:
+                if lo < hi:
+                    assert eval_at(f, lo) != 0 and eval_at(f, hi) != 0, (f, lo, hi)
+                    assert eval_at(sf, lo) * eval_at(sf, hi) < 0, (f, lo, hi)

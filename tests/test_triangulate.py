@@ -575,17 +575,17 @@ class TestFTriangle:
         F = f_triangle("esd:1", 4)  # esd:1 refines nothing
         for j in range(5):
             for i in range(j + 1):
-                assert F.f(i, j) == math.comb(j, i)
+                assert F.rows[j][i] == math.comb(j, i)
 
     def test_barycentric_row(self):
         F = f_triangle("sd", 3)
-        assert (F.f(1, 3), F.f(2, 3), F.f(3, 3)) == (7, 12, 6)
-        assert F.f(1, 2) == 3 and F.f(2, 2) == 2
+        assert (F.rows[3][1], F.rows[3][2], F.rows[3][3]) == (7, 12, 6)
+        assert F.rows[2][1] == 3 and F.rows[2][2] == 2
 
     def test_edgewise_rows(self):
         F = f_triangle("esd:3", 3)
-        assert F.f(1, 2) == 4 and F.f(2, 2) == 3
-        assert F.f(3, 3) == 9
+        assert F.rows[2][1] == 4 and F.rows[2][2] == 3
+        assert F.rows[3][3] == 9
 
     def test_of_barycentric_matches(self):
         assert f_triangle_of(sd3()) == f_triangle("sd", 3)
@@ -597,7 +597,7 @@ class TestFTriangle:
     def test_stellar_apex_is_uniform(self):
         # one top face, identical edges: vacuously uniform per dimension
         F = f_triangle_of(stellar(trivial((1, 2, 3)), (1, 2, 3)))
-        assert F.f(1, 3) == 4 and F.f(3, 3) == 3
+        assert F.rows[3][1] == 4 and F.rows[3][3] == 3
 
     def test_not_uniform_witness(self):
         T = stellar(trivial((1, 2, 3)), (1, 2))
