@@ -18,7 +18,7 @@ import sys
 
 from . import verify as verify_mod
 from .complexes import SchemaError, complex_from_json
-from .localh import c_coefficients, local_h, local_h_via_uniform
+from .localh import _require_simplex_base, c_coefficients, local_h, local_h_via_uniform
 from .perm import E_NR_BUDGET, E_nr, d_nk, d_nkj, p_nk
 from .poly import Poly, PolyParseError, format_poly, parse_poly, poly_to_json
 from .realroot import interlace_report
@@ -151,7 +151,7 @@ def cmd_tables(args) -> int:
 
 def cmd_localh(args) -> int:
     T = _load_triangulation(args.input)
-    n = len(T.base.vertices)
+    n = len(_require_simplex_base(T))
     if args.emit_c:
         c = c_coefficients(T)
         body = {"n": c.n, "c": [[k, j, v] for k, j, v in c.entries()]}

@@ -46,10 +46,10 @@ class SchemaError(ValueError):
 class SimplicialComplex:
     """Immutable complex determined by its facets.
 
-    Build one with :func:`from_facets`, which normalizes and checks its
-    input.  The constructor itself checks nothing: it expects distinct,
-    inclusion-maximal facets as sorted int tuples in canonical order,
-    and labels naming only their vertices.
+    The constructor puts the facets in canonical order and checks
+    nothing else: they must be distinct, inclusion-maximal sorted int
+    tuples, with labels naming only their vertices.  :func:`from_facets`
+    checks any input and drops duplicate and dominated facets.
     Labels are provenance strings for display only and do not take part
     in equality.  ``vertices``, the unordered ``face_set()`` and the
     canonically ordered ``faces()`` are computed on first use and
@@ -58,8 +58,8 @@ class SimplicialComplex:
 
     __slots__ = ("facets", "labels", "_vertices", "_faces", "_face_set")
 
-    def __init__(self, facets: tuple[Face, ...], labels: dict[int, str]):
-        self.facets = facets
+    def __init__(self, facets, labels: dict[int, str]):
+        self.facets: tuple[Face, ...] = tuple(sorted(sorted(facets), key=len))
         self.labels = labels
         self._vertices: tuple[int, ...] | None = None
         self._faces: tuple[Face, ...] | None = None
@@ -141,21 +141,15 @@ class SimplicialComplex:
 
 def from_facets(facets, labels: dict[int, str] | None = None) -> SimplicialComplex:
     """Build a complex, dropping duplicate and dominated facets."""
-    K = _from_sorted_facets([face(f) for f in facets], dict(labels) if labels else {})
+    K = SimplicialComplex(_maximal(map(face, facets)), dict(labels) if labels else {})
     if K.labels and not set(K.labels) <= set(K.vertices):
         raise ValueError("labels reference vertices outside the complex")
     return K
 
 
-def _from_sorted_facets(facets, labels: dict[int, str]) -> SimplicialComplex:
-    """:func:`from_facets` for trusted input, with nothing re-checked.
-
-    Each facet must be a sorted tuple of distinct ints and every label
-    key a vertex of some facet; the package's own builders guarantee
-    both.  Duplicate and dominated facets are still dropped, and
-    ``labels`` is kept as given, not copied.  A candidate is checked
-    only against the kept larger facets through its rarest vertex.
-    """
+def _maximal(facets) -> list[Face]:
+    """Distinct, inclusion-maximal ones of the sorted int tuples ``facets``,
+    each checked against the kept larger ones through its rarest vertex."""
     candidates = sorted(set(facets), key=len, reverse=True)
     kept: list[Face] = []
     # vertex -> kept facets through it strictly larger than the current one
@@ -163,9 +157,8 @@ def _from_sorted_facets(facets, labels: dict[int, str]) -> SimplicialComplex:
     promoted = 0
     for f in candidates:
         while promoted < len(kept) and len(kept[promoted]) > len(f):
-            g = kept[promoted]
-            gs = set(g)
-            for v in g:
+            gs = set(kept[promoted])
+            for v in gs:
                 larger.setdefault(v, []).append(gs)
             promoted += 1
         if promoted:  # some kept facet is larger than f
@@ -175,14 +168,12 @@ def _from_sorted_facets(facets, labels: dict[int, str]) -> SimplicialComplex:
             if any(map(set(f).issubset, rarest)):
                 continue
         kept.append(f)
-    kept.sort()
-    kept.sort(key=len)  # stable: by size, then lexicographic
-    return SimplicialComplex(tuple(kept), labels)
+    return kept
 
 
 def full_simplex(vertices) -> SimplicialComplex:
     """The complex of all subsets of the given vertex set."""
-    return _from_sorted_facets([face(vertices)], {})
+    return SimplicialComplex([face(vertices)], {})
 
 
 def h_polynomial(K: SimplicialComplex, n: int | None = None) -> Poly:
@@ -327,4 +318,4 @@ def complex_from_json(obj) -> SimplicialComplex:
             labels[v] = val
     # Every entry is an int and every label names a used vertex, which
     # is all that from_facets would check again.
-    return _from_sorted_facets(facets, labels)
+    return SimplicialComplex(_maximal(facets), labels)

@@ -31,7 +31,7 @@ from .complexes import (
     SimplicialComplex,
     _all_ints,
     _faces_of_size,
-    _from_sorted_facets,
+    _maximal,
     _vertex_key,
     complex_from_json,
     complex_to_json,
@@ -106,8 +106,8 @@ def restriction(T: Triangulation, F) -> Triangulation:
     ``F`` is the only facet of the base and the carrier map has no
     other keys, the restriction is ``T`` itself, face table included.
     Otherwise each facet is cut down to the kept vertices with C-level
-    set operations (:func:`_project`); when no facet keeps a vertex,
-    the restriction is the empty complex.
+    set operations (:func:`_project`) and filtered by :func:`_maximal`;
+    when no facet keeps a vertex, the restriction is the empty complex.
     """
     f = face(F)
     if f not in T.base:
@@ -122,9 +122,9 @@ def restriction(T: Triangulation, F) -> Triangulation:
         # A void total has no vertices and took the branch above.
         facets = _project(T.total.facets, keep) or {()}
         labels = {v: s for v, s in T.total.labels.items() if v in keep}
-        total = _from_sorted_facets(facets, labels)
+        total = SimplicialComplex(_maximal(facets), labels)
     carriers = {v: T.vertex_carrier[v] for v in total.vertices}
-    return Triangulation(_from_sorted_facets([f], {}), total, carriers)
+    return Triangulation(SimplicialComplex([f], {}), total, carriers)
 
 
 def _project(facets, keep: set) -> set[Face]:
@@ -178,7 +178,10 @@ def barycentric(T: Triangulation) -> Triangulation:
     order, so equal inputs give identical outputs.  Facets are the
     flags of faces inside each facet of ``T.total``: each facet's
     subsets are numbered once and every flag of an m-vertex facet reads
-    its vertices off the prefix masks of :func:`_flag_pattern`.
+    its vertices off the prefix masks of :func:`_flag_pattern`.  The
+    facets are maximal: each is a complete flag ending in one facet h,
+    which a flag of h' would hold only if h' <= h, and distinct
+    orderings give distinct flags (the empty complex gives ``[()]``).
     """
     old_faces = [g for g in T.total.faces() if g]
     vertex_of = {g: i for i, g in enumerate(old_faces, start=1)}
@@ -195,7 +198,7 @@ def barycentric(T: Triangulation) -> Triangulation:
     labels = {i: "barycenter of {%s}" % ",".join(map(str, g))
               for g, i in vertex_of.items()}
     carriers = {vertex_of[g]: carrier(T, g) for g in old_faces}
-    return Triangulation(T.base, _from_sorted_facets(facets, labels), carriers)
+    return Triangulation(T.base, SimplicialComplex(facets, labels), carriers)
 
 
 def _edgewise_pattern(m: int, r: int):
@@ -241,6 +244,9 @@ def edgewise(T: Triangulation, r: int) -> Triangulation:
     read off once per call for each facet size (:func:`_edgewise_pattern`).
     Naming a facet's local points, (i, w) -> (h[i], w), keeps their
     order, so a sorted chain maps onto a facet as a sorted tuple of ids.
+    The facets are maximal: a chain's points span its facet h, so their
+    supports cover h and chains of two facets cannot nest, and one
+    facet's chains are distinct sets of m points (m = 0 gives ``[()]``).
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
@@ -266,7 +272,7 @@ def edgewise(T: Triangulation, r: int) -> Triangulation:
     supports = {p: tuple(v for v, _ in p) for p in point_ids}
     carrier_of = {g: carrier(T, g) for g in set(supports.values())}
     carriers = {point_ids[p]: carrier_of[g] for p, g in supports.items()}
-    return Triangulation(T.base, _from_sorted_facets(facets, labels), carriers)
+    return Triangulation(T.base, SimplicialComplex(facets, labels), carriers)
 
 
 class UnknownKindError(ValueError):
@@ -344,7 +350,10 @@ def _refined_facets(T: Triangulation, r: int | None) -> int:
 
 
 def stellar(T: Triangulation, G) -> Triangulation:
-    """Star the face ``G``: cone a fresh vertex over its link."""
+    """Star the face ``G``: cone a fresh vertex over its link.  The
+    facets are maximal: each new (h - d) | {fresh} holds the fresh
+    vertex, which no kept facet does, and two new ones are equal or
+    nested only if two facets of ``T.total`` were."""
     g = face(G)
     if len(g) < 2:
         raise ValueError("starring needs a face with at least two vertices")
@@ -363,7 +372,7 @@ def stellar(T: Triangulation, G) -> Triangulation:
     labels[fresh] = "apex of {%s}" % ",".join(map(str, g))
     carriers = dict(T.vertex_carrier)
     carriers[fresh] = carrier(T, g)
-    return Triangulation(T.base, _from_sorted_facets(facets, labels), carriers)
+    return Triangulation(T.base, SimplicialComplex(facets, labels), carriers)
 
 
 def compose(outer: Triangulation, inner: Triangulation) -> Triangulation:

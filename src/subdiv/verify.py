@@ -108,9 +108,10 @@ class VerifySuiteReport:
 # reads it off the very h-polynomials those formulas give (prop-esdr's
 # k = 0 check would compare a Veronese section with itself).
 @lru_cache(maxsize=None)
-def _triangle(kind: str, n: int) -> FTriangle:
+def _triangle(kind: str, n: int) -> tuple[Triangulation, FTriangle]:
     check_simplex(kind, n)
-    return f_triangle_of(refine(trivial(range(1, n + 1)), kind))
+    T = refine(trivial(range(1, n + 1)), kind)
+    return T, f_triangle_of(T)
 
 
 def _gamma(n: int, seed: int, steps_cap: int, kind: str) -> tuple[Triangulation, int]:
@@ -246,9 +247,8 @@ def _p_built(T: Triangulation, m: int) -> list[Poly]:
 def _case_prop_lnkj(params: dict) -> CaseResult:
     kind, part = params["kind"], params["part"]
     size = params["size"]
-    F = _triangle(kind, size)
+    T, F = _triangle(kind, size)
     if part == "d":  # ell_mkj at k = 0 is p_poly itself, so p is read off T
-        T = refine(trivial(range(1, size + 1)), kind)
         p_built = [_p_built(T, m) for m in range(size + 1)]
     problems: list[str] = []
     xm1 = (-1, 1)
@@ -305,12 +305,12 @@ def _case_prop_dnkj(params: dict) -> CaseResult:
         D = _refined_bad_point_counts(n)
         prev = _refined_bad_point_counts(n - 1) if n >= 1 else ()
     if part == "a":
-        F = _triangle("sd", n)
+        _, F = _triangle("sd", n)
         for k in range(n + 1):
             if ell_mk(F, n, k) != d_nk(n, k):
                 problems.append(f"k={k}: ell_mk != d_nk")
     elif part == "b":
-        F = _triangle("sd", n)
+        _, F = _triangle("sd", n)
         for k in range(n + 1):
             for j in range(n - k + 1):
                 if ell_mkj(F, n, k, j) != d_nkj(n, k, j):
@@ -374,7 +374,7 @@ def _case_prop_dnkj_rec(params: dict) -> CaseResult:
 
 def _case_prop_esdr(params: dict) -> CaseResult:
     n, r = params["n"], params["r"]
-    F = _triangle(f"esd:{r}", n)
+    _, F = _triangle(f"esd:{r}", n)
     ones = (1,) * r
     positive = shift((1,) * (r - 1), 1) if r > 1 else ()
     problems: list[str] = []

@@ -149,6 +149,18 @@ class TestLocalH:
         assert code == 2
         assert "full simplex" in err
 
+    @pytest.mark.parametrize("options", [
+        (), ("--emit-c",), ("--via-uniform", "sd"), ("--via-uniform", "esd:1"),
+    ], ids=["plain", "emit-c", "via-sd", "via-esd1"])
+    def test_non_simplex_base_before_size_guard(self, capsys, tmp_path, options):
+        # Nine vertices are past both size guards of --via-uniform, but
+        # the base is refused first, with the same line for every mode.
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps({"vertices": list(range(1, 10)),
+                                    "facets": [[1, 2, 3], [4, 5, 6], [7, 8, 9]]}))
+        assert run(capsys, "localh", "--input", str(path), *options) == (
+            2, "", "error: the base complex must be a full simplex\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "localh", "--input", "/no/such/file.json")
         assert code == 2

@@ -10,7 +10,7 @@ from conftest import eval_at
 from subdiv.complexes import (
     SchemaError,
     SimplicialComplex,
-    _from_sorted_facets,
+    _maximal,
     complex_from_json,
     complex_to_json,
     f_vector_from_h,
@@ -109,7 +109,7 @@ class TestTrustedConstructor:
     @example(([(), (), (1,), (1, 2), (1,), (2,)], {2: "b"}))
     def test_matches_from_facets(self, drawn):
         facets, labels = drawn
-        fast = _from_sorted_facets(list(facets), dict(labels))
+        fast = SimplicialComplex(_maximal(facets), dict(labels))
         slow = from_facets(facets, labels)
         assert fast.facets == slow.facets
         assert fast.labels == slow.labels
@@ -128,7 +128,7 @@ class TestTrustedConstructor:
 
 
 def quadratic_filter(facets) -> tuple:
-    """Oracle for the domination filter of :func:`_from_sorted_facets`:
+    """Oracle for the domination filter :func:`_maximal`:
     each candidate, largest first, against every kept larger facet."""
     candidates = sorted(set(facets), key=len, reverse=True)
     kept = []
@@ -174,7 +174,20 @@ class TestDominationFilter:
     @example([(1, 2), (3,), (), (2,), (1, 2)])
     @example([(1, 2, 3), (1, 2), (2, 4), (4,), (1, 3, 4), (3, 4)])
     def test_matches_quadratic_scan(self, facets):
-        assert _from_sorted_facets(list(facets), {}).facets == quadratic_filter(facets)
+        assert SimplicialComplex(_maximal(facets), {}).facets == quadratic_filter(facets)
+
+
+class TestCanonicalOrder:
+    """The constructor orders distinct, maximal facets given in any order."""
+
+    @given(nested_facet_lists().map(quadratic_filter).flatmap(st.permutations))
+    @example([])
+    @example([()])
+    @example([(3, 4), (1, 4), (5,), (1, 2, 3)])
+    def test_any_permutation(self, facets):
+        K = SimplicialComplex(facets, {})
+        assert K.facets == tuple(sorted(facets, key=lambda g: (len(g), g)))
+        assert K == from_facets(facets)
 
 
 class TestFaces:

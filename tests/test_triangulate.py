@@ -5,7 +5,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import outcome, perturbed, refined_stellar
 from subdiv import triangulate as triangulate_mod
@@ -1312,6 +1312,32 @@ class TestStructuralProperties:
         S = barycentric(T)
         validate_triangulation(S)
         assert is_flag(S.total)
+
+
+def nested_facets(K) -> list:
+    """Pairs of facets of ``K``, at two positions, with the first inside
+    the second, by comparing every pair: duplicates and dominated
+    facets both show up."""
+    return [(f, g) for i, f in enumerate(K.facets) for j, g in enumerate(K.facets)
+            if i != j and set(f) <= set(g)]
+
+
+class TestBuildersGiveMaximalFacets:
+    """barycentric, edgewise and stellar pass their facets to the
+    constructor unfiltered, so each must build distinct facets, none
+    inside another."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(stellar_runs())
+    @example(identity(from_facets([(1, 2, 3), (3, 4), (5,)])))
+    @example(identity(from_facets([])))  # void
+    @example(identity(from_facets([()])))  # empty
+    @example(trivial((1,)))
+    def test_no_nested_facets(self, G):
+        built = [barycentric(G)] + [edgewise(G, r) for r in range(1, 5)]
+        built += [stellar(G, g) for g in G.total.faces() if len(g) >= 2]
+        for T in built:
+            assert nested_facets(T.total) == []
 
 
 def restriction_f_triangle_of(T):
