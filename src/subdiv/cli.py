@@ -2,9 +2,9 @@
 
 Exit codes are CI-oriented: 0 on success, 1 when a mathematical check
 fails (a verify suite reports failures, `interlace` answers false, an
-input triangulation is not uniform), 2 on usage or input errors.  All
-result output goes to stdout and is byte-stable for fixed inputs;
-wall-clock timings go to stderr.
+input triangulation is not uniform), 2 on usage, input or output
+errors.  All result output goes to stdout and is byte-stable for fixed
+inputs; wall-clock timings go to stderr.
 """
 
 from __future__ import annotations
@@ -14,14 +14,15 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 
 from . import verify as verify_mod
 from .complexes import SchemaError, complex_from_json
 from .localh import _require_simplex_base, c_coefficients, local_h, local_h_via_uniform
 from .perm import E_NR_BUDGET, E_nr, d_nk, d_nkj, p_nk
-from .poly import Poly, PolyParseError, format_poly, parse_poly, poly_to_json
-from .realroot import interlace_report
+from .poly import Poly, format_poly, parse_poly, poly_to_json
+from .realroot import interlace_reason, is_real_rooted, isolate_roots
 from .triangulate import (
     FACETS_CAP,
     TABLES_N_CAP,
@@ -45,9 +46,6 @@ FORMATS = ("text", "json", "csv")
 # Values one integer spec such as --seeds 1..20 may list.
 INT_SPEC_CAP = 10_000
 
-class CliError(Exception):
-    """Usage or input problem; maps to exit code 2."""
-
 
 def _parse_int_spec(text: str, what: str) -> tuple[int, ...]:
     """Accept '4', '2,3,4', and '1..20' range shorthand."""
@@ -63,9 +61,9 @@ def _parse_int_spec(text: str, what: str) -> tuple[int, ...]:
             else:
                 a = b = int(piece)
         except ValueError:
-            raise CliError(f"cannot parse {what} {text!r}") from None
+            raise ValueError(f"cannot parse {what} {text!r}") from None
         if len(out) + b - a + 1 > INT_SPEC_CAP:
-            raise CliError(f"{what} {text!r} lists more than {INT_SPEC_CAP} values")
+            raise ValueError(f"{what} {text!r} lists more than {INT_SPEC_CAP} values")
         out.extend(range(a, b + 1))
     return tuple(out)
 
@@ -79,9 +77,9 @@ def _load_triangulation(path: str) -> Triangulation:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as err:
-        raise CliError(f"cannot read input: {err}") from err
+        raise ValueError(f"cannot read input: {err}") from err
     except json.JSONDecodeError as err:
-        raise CliError(f"input is not valid JSON: {err}") from err
+        raise ValueError(f"input is not valid JSON: {err}") from err
     if isinstance(obj, dict) and "facets" in obj and "carrier" not in obj:
         K = complex_from_json(obj)
         _check_input_facets(K)
@@ -133,9 +131,9 @@ def _table_data(which: int, n_max: int):
 
 def cmd_tables(args) -> int:
     if args.n > TABLES_N_CAP:
-        raise CliError(f"tables are limited to n <= {TABLES_N_CAP}")
+        raise ValueError(f"tables are limited to n <= {TABLES_N_CAP}")
     if args.n < 0:
-        raise CliError("n must be nonnegative")
+        raise ValueError("n must be nonnegative")
     header, rows = _table_data(args.which, args.n)
     if args.format == "json":
         body = {
@@ -174,7 +172,7 @@ def cmd_subdivide(args) -> int:
         try:
             g = tuple(int(v) for v in kind.split(":", 1)[1].split(","))
         except ValueError:
-            raise CliError(f"bad stellar face in {kind!r}") from None
+            raise ValueError(f"bad stellar face in {kind!r}") from None
         out = stellar(T, g)
     elif kind.startswith("random:"):
         try:
@@ -182,50 +180,51 @@ def cmd_subdivide(args) -> int:
             if steps < 0:
                 raise ValueError
         except ValueError:
-            raise CliError(f"bad step count in {kind!r}") from None
+            raise ValueError(f"bad step count in {kind!r}") from None
         if len(T.total.facets) != 1:
-            raise CliError("random refinement starts from the trivial "
-                           "triangulation; input must be a single simplex")
+            raise ValueError("random refinement starts from the trivial "
+                             "triangulation; input must be a single simplex")
         out = random_triangulation(T.base.vertices, steps, seed=args.seed)
     else:
         try:
             out = refine(T, kind)
         except UnknownKindError:
-            raise CliError(f"unknown kind {kind!r} (use sd, esd:R, "
-                           f"stellar:V1,V2,..., random:STEPS)") from None
+            raise ValueError(f"unknown kind {kind!r} (use sd, esd:R, "
+                             f"stellar:V1,V2,..., random:STEPS)") from None
     print(json.dumps(triangulation_to_json(out), sort_keys=True))
     return 0
+
+
+def _roots(f: Poly) -> str | None:
+    """Printed root intervals of ``f``; None for zero or nonreal roots."""
+    return isolate_roots(f).pretty() if f and is_real_rooted(f) else None
 
 
 def cmd_interlace(args) -> int:
     f = parse_poly(args.f)
     g = parse_poly(args.g)
-    report = interlace_report(f, g)
+    ok, reason = interlace_reason(f, g)
     if args.format == "json":
-        body = {
-            "interlaces": report.ok,
-            "reason": report.reason,
-            "f_roots": report.f_isolation.pretty() if report.f_isolation else None,
-            "g_roots": report.g_isolation.pretty() if report.g_isolation else None,
-        }
+        body = {"interlaces": ok, "reason": reason,
+                "f_roots": _roots(f), "g_roots": _roots(g)}
         print(json.dumps(body, sort_keys=True))
     elif args.format == "csv":
-        row = [str(report.ok).lower(), report.reason]
+        row = [str(ok).lower(), reason]
         sys.stdout.write(_render_grid(["interlaces", "reason"], [row], "csv"))
     else:
-        print("true" if report.ok else "false")
+        print("true" if ok else "false")
         if args.explain:
-            print(f"reason: {report.reason}")
-            if report.f_isolation:
-                print(f"roots of f: {report.f_isolation.pretty()}")
-            if report.g_isolation:
-                print(f"roots of g: {report.g_isolation.pretty()}")
-    return 0 if report.ok else 1
+            print(f"reason: {reason}")
+            for name, p in (("f", f), ("g", g)):
+                roots = _roots(p)
+                if roots:
+                    print(f"roots of {name}: {roots}")
+    return 0 if ok else 1
 
 
 def cmd_ftriangle(args) -> int:
     if (args.input is None) == (args.kind is None):
-        raise CliError("give exactly one of --input or --kind")
+        raise ValueError("give exactly one of --input or --kind")
     if args.input:
         T = _load_triangulation(args.input)
         try:
@@ -235,7 +234,7 @@ def cmd_ftriangle(args) -> int:
             return 1
     else:
         if args.n is None:
-            raise CliError("--kind needs --n")
+            raise ValueError("--kind needs --n")
         check_simplex(args.kind, args.n)
         F = f_triangle(args.kind, args.n)
     if args.format == "json":
@@ -251,20 +250,17 @@ def cmd_ftriangle(args) -> int:
 def cmd_stat_poly(args) -> int:
     params = _parse_int_spec(args.params, "--params")
     family = args.family
-    try:
-        if family == "d" and len(params) == 2:
-            poly, name = d_nk(*params), "d_{%d,%d}" % params
-        elif family == "d" and len(params) == 3:
-            poly, name = d_nkj(*params), "d_{%d,%d,%d}" % params
-        elif family == "p" and len(params) == 2:
-            poly, name = p_nk(*params), "p_{%d,%d}" % params
-        elif family == "E" and len(params) == 2:
-            poly, name = E_nr(*params), "E_{%d,%d}" % params
-        else:
-            raise CliError(f"family {family!r} takes "
-                           f"{'2 or 3' if family == 'd' else '2'} parameters")
-    except ValueError as err:
-        raise CliError(str(err)) from err
+    if family == "d" and len(params) == 2:
+        poly, name = d_nk(*params), "d_{%d,%d}" % params
+    elif family == "d" and len(params) == 3:
+        poly, name = d_nkj(*params), "d_{%d,%d,%d}" % params
+    elif family == "p" and len(params) == 2:
+        poly, name = p_nk(*params), "p_{%d,%d}" % params
+    elif family == "E" and len(params) == 2:
+        poly, name = E_nr(*params), "E_{%d,%d}" % params
+    else:
+        raise ValueError(f"family {family!r} takes "
+                         f"{'2 or 3' if family == 'd' else '2'} parameters")
     _emit_poly(poly, args.format, key=name)
     return 0
 
@@ -290,12 +286,9 @@ def cmd_verify(args) -> int:
         return None if text is None else lazy(text, flag)
 
     kinds = None if args.kinds is None else tuple(map(str.strip, args.kinds.split(",")))
-    try:
-        report = verify_mod.run_suite(
-            args.suite, ns=ints(args.n, "--n"), seeds=ints(args.seeds, "--seeds"),
-            steps=args.steps, rs=ints(args.r, "--r"), kinds=kinds, k_max=args.k)
-    except ValueError as err:
-        raise CliError(str(err)) from err
+    report = verify_mod.run_suite(
+        args.suite, ns=ints(args.n, "--n"), seeds=ints(args.seeds, "--seeds"),
+        steps=args.steps, rs=ints(args.r, "--r"), kinds=kinds, k_max=args.k)
     if args.format == "json":
         print(json.dumps(_report_body(report), sort_keys=True))
     elif args.format == "csv":
@@ -427,14 +420,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left; send the flush at interpreter exit nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     except SchemaError as err:
         print(f"error at {err.path or '<root>'}: {err.message}", file=sys.stderr)
         return 2
-    except (PolyParseError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,7 @@ from .poly import Poly, add, binom, mul, power, scale, shift
 from .triangulate import (
     FTriangle,
     Triangulation,
-    _restriction_f_vectors,
+    _refuse_oversize,
     face_table,
     validate_triangulation,
 )
@@ -43,19 +43,13 @@ def _graded_faces(T: Triangulation) -> tuple[int, list[list[int]]]:
     """Base size n and, for each carrier size c, the face counts by size
     of the faces whose carrier has c vertices.
 
-    A face with more vertices than its carrier makes some restriction
-    too big for its base face; that raises the error ``h_polynomial``
-    gives for the first such restriction, as Stanley's sum would.
+    A restriction with a face too big for its base face is refused
+    first, by :func:`_refuse_oversize`.
     """
     verts = _require_simplex_base(T)
-    table = face_table(T)
-    if any(size > mask.bit_count() for mask, size in table):
-        for f, fv in _restriction_f_vectors(T, table):
-            top = len(fv) - 1
-            if top > len(f):
-                raise ValueError(f"complex of dimension {top - 1} needs n >= {top}")
+    _refuse_oversize(T)
     graded = [[0] * (c + 1) for c in range(len(verts) + 1)]
-    for (mask, size), count in table.items():
+    for (mask, size), count in face_table(T).items():
         graded[mask.bit_count()][size] += count
     return len(verts), graded
 

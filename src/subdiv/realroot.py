@@ -14,8 +14,8 @@ real-rooted when the Sturm count of distinct real roots reaches
 ``deg f - deg gcd(f, f')``, and ``f`` interlaces ``g`` when the Cauchy
 index of ``f/g`` reaches ``deg g - deg gcd(f, g)`` (the
 Hermite-Kakeya-Obreschkoff criterion).  Root isolation serves
-``isolate_roots`` and the evidence of ``interlace_report``, which the
-CLI prints with ``--explain``.  It bisects the squarefree part
+``isolate_roots``, whose intervals the CLI prints with ``--explain``
+as evidence.  It bisects the squarefree part
 ``f / gcd(f, f')`` once, only down to isolating intervals, and reads
 each multiplicity off the Sturm chains of ``f``, of ``gcd(f, f')``, and
 so on.  The ends of an open interval are non-roots of ``f``; a root is
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .poly import Poly, degree, derivative, normalize
 
@@ -334,7 +334,8 @@ def isolate_roots(f: Poly) -> RootIsolation:
     return RootIsolation(tuple(sorted(entries)))
 
 
-def _interlace_core(f: Poly, g: Poly) -> tuple[bool, str]:
+def interlace_reason(f: Poly, g: Poly) -> tuple[bool, str]:
+    """Whether ``f`` interlaces ``g``, and the reason for that verdict."""
     f, g = normalize(f), normalize(g)
     if not f or not g:
         other = f or g
@@ -366,31 +367,7 @@ def _interlace_core(f: Poly, g: Poly) -> tuple[bool, str]:
 
 def interlaces(f: Poly, g: Poly) -> bool:
     """True when ``f`` interlaces ``g`` (``f`` below, ``g`` above)."""
-    return _interlace_core(tuple(f), tuple(g))[0]
-
-
-@dataclass(frozen=True)
-class InterlaceReport:
-    """Outcome of an interlacing test; roots are isolated on first read."""
-
-    ok: bool
-    reason: str
-    f: Poly
-    g: Poly
-
-    @cached_property
-    def f_isolation(self) -> RootIsolation | None:
-        return isolate_roots(self.f) if self.f and is_real_rooted(self.f) else None
-
-    @cached_property
-    def g_isolation(self) -> RootIsolation | None:
-        return isolate_roots(self.g) if self.g and is_real_rooted(self.g) else None
-
-
-def interlace_report(f: Poly, g: Poly) -> InterlaceReport:
-    """Like ``interlaces`` but keeps the evidence for display."""
-    f, g = normalize(f), normalize(g)
-    return InterlaceReport(*_interlace_core(f, g), f, g)
+    return interlace_reason(f, g)[0]
 
 
 def is_interlacing_sequence(fs) -> bool:

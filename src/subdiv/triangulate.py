@@ -513,6 +513,18 @@ def _restriction_f_vectors(T: Triangulation, table):
         yield f, tuple(counts)
 
 
+def _refuse_oversize(T: Triangulation) -> None:
+    """Raise the error ``h_polynomial`` gives for the first restriction,
+    in canonical order, with a face too big for its base face, as
+    Stanley's sum over restrictions would."""
+    table = face_table(T)
+    if any(size > mask.bit_count() for mask, size in table):
+        for f, fv in _restriction_f_vectors(T, table):
+            top = len(fv) - 1
+            if top > len(f):
+                raise ValueError(f"complex of dimension {top - 1} needs n >= {top}")
+
+
 class NotUniformError(ValueError):
     """Restriction face counts depend on more than dimension.
 
@@ -555,10 +567,12 @@ class FTriangle:
 def f_triangle_of(T: Triangulation) -> FTriangle:
     """Face-count triangle of ``T``; raises NotUniformError if mixed.
 
-    The base must be pure and not void.  Row j is the f-vector of the
+    The base must be pure and not void, and no restriction may have a
+    face too big for its base face.  Row j is the f-vector of the
     restriction to any j-vertex base face, read off :func:`face_table`
     after checking that they all agree.
     """
+    _refuse_oversize(T)
     if T.base.is_void:
         raise ValueError("the base complex must not be void")
     if not T.base.is_pure():

@@ -12,7 +12,6 @@ import sys
 import pytest
 
 from subdiv import cli as cli_mod
-from subdiv import realroot as realroot_mod
 from subdiv import triangulate as triangulate_mod
 from subdiv import verify as verify_mod
 from subdiv.cli import main
@@ -37,12 +36,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_python(*argv, text=True):
-    """A fresh interpreter that imports ``subdiv`` from this checkout."""
+def checkout_env() -> dict:
+    """The environment, with ``subdiv`` imported from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *argv], env=env,
+    return env
+
+
+def run_python(*argv, text=True):
+    """A fresh interpreter that imports ``subdiv`` from this checkout."""
+    return subprocess.run([sys.executable, *argv], env=checkout_env(),
                           capture_output=True, text=text, timeout=30)
 
 
@@ -176,6 +180,20 @@ class TestSubdivide:
         code, out, _ = run(capsys, "localh", "--input", str(path))
         assert code == 0
         assert out.strip() == "x+x^2"
+
+    def test_closed_output_pipe_exits_two(self, tmp_path):
+        # sd of sd(simplex on 5 vertices) prints about 1.9 MB, far past a
+        # pipe's 64 KiB buffer, so the write fails once the reader has
+        # left, however the two processes interleave.
+        path = write_triangulation(tmp_path, barycentric(trivial(range(1, 6))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "subdiv.cli", "subdivide", "--input", path,
+             "--kind", "sd"],
+            env=checkout_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(1)) == 1
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=30)
+        assert (proc.returncode, err) == (2, b"")
 
     def test_stellar_kind(self, capsys, simplex3):
         code, out, _ = run(capsys, "subdivide", "--input", simplex3,
@@ -364,7 +382,7 @@ class TestInterlace:
         def refuse(p):
             raise AssertionError("roots isolated for output that prints none")
 
-        monkeypatch.setattr(realroot_mod, "isolate_roots", refuse)
+        monkeypatch.setattr(cli_mod, "isolate_roots", refuse)
         assert run(capsys, "interlace", f, g) == (
             code, explain.splitlines()[0] + "\n", "")
         assert run(capsys, "interlace", f, g, "--format", "csv") == (
@@ -391,6 +409,21 @@ class TestFTriangle:
         code, _, err = run(capsys, "ftriangle", "--input", path)
         assert code == 1
         assert "not uniform" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_oversized_face_exits_two(self, capsys, tmp_path, fmt):
+        # Vertex 4 is carried by (1,) but lies in triangles with 2 and 3:
+        # no subdivision, refused as localh refuses it, not called mixed.
+        path = tmp_path / "oversized.json"
+        path.write_text(json.dumps({
+            "base": {"vertices": [1, 2, 3], "facets": [[1, 2, 3]]},
+            "total": {"vertices": [1, 2, 3, 4],
+                      "facets": [[1, 2, 4], [2, 3, 4], [1, 3, 4]]},
+            "carrier": {"1": [1], "2": [2], "3": [3], "4": [1]}}))
+        expected = (2, "", "error: complex of dimension 1 needs n >= 2\n")
+        for command in ("ftriangle", "localh"):
+            assert run(capsys, command, "--input", str(path),
+                       "--format", fmt) == expected
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     def test_void_input_exits_two(self, capsys, tmp_path, fmt):

@@ -1341,7 +1341,12 @@ class TestBuildersGiveMaximalFacets:
 
 
 def restriction_f_triangle_of(T):
-    """Row j read off a rebuilt restriction to each j-vertex base face."""
+    """Row j read off a rebuilt restriction to each j-vertex base face.
+
+    A restriction with a face too big for its base face is refused
+    first, by ``h_polynomial`` of that restriction, in canonical order."""
+    for f in T.base.faces():
+        h_polynomial(restriction(T, f).total, len(f))
     if T.base.is_void:
         raise ValueError("the base complex must not be void")
     if not T.base.is_pure():
@@ -1382,6 +1387,16 @@ class TestFTriangleOfFaceTable:
             "void-3", "non-pure", "void-base"])
     def test_fixed_cases(self, T):
         assert outcome(f_triangle_of, T) == outcome(restriction_f_triangle_of, T)
+
+    def test_oversized_face_refused_before_uniformity(self):
+        # Vertex 4 is carried by (1,) but lies in triangles with 2 and 3,
+        # so the restrictions also differ by size; the size error wins.
+        T = Triangulation(full_simplex((1, 2, 3)),
+                          from_facets([(1, 2, 4), (2, 3, 4), (1, 3, 4)]),
+                          {1: (1,), 2: (2,), 3: (3,), 4: (1,)})
+        expected = ("ValueError", "complex of dimension 1 needs n >= 2", None)
+        assert outcome(restriction_f_triangle_of, T) == expected
+        assert outcome(f_triangle_of, T) == expected
 
     def test_non_uniform_witness_and_message_match(self):
         T = stellar(trivial((1, 2, 3)), (1, 2))
