@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import (
     accumulate,
     chain,
@@ -60,16 +60,34 @@ class Triangulation:
     """A geometric subdivision: ``total`` refines ``base``.
 
     ``vertex_carrier`` maps each vertex of ``total`` to the base face
-    it sits inside.  The constructor trusts its arguments; use
-    :func:`validate_triangulation` to check the structural rules.
-    Like the faces of a complex, the :func:`face_table` is computed on
-    first use and kept with the instance, so none of the three fields
-    may change afterwards.
+    it sits inside.  The constructor checks that the keys are exactly
+    the vertices of ``total`` and, in dict order, that each carrier is
+    a nonempty base face; :func:`validate_triangulation` checks the
+    other structural rules.  Like the faces of a complex, the
+    :func:`face_table` is computed on first use and kept with the
+    instance, so none of the three fields may change afterwards.
     """
 
     base: SimplicialComplex
     total: SimplicialComplex
     vertex_carrier: dict[int, Face]
+
+    def __post_init__(self):
+        if self.vertex_carrier.keys() != set(self.total.vertices):
+            raise ValueError("vertex_carrier keys must be exactly the total's vertices")
+        # Not ``c in self.base``, which lists the 2^n faces of an n-simplex.
+        star: dict[int, list[set[int]]] = {}
+        for h in map(set, self.base.facets):
+            for u in h:
+                star.setdefault(u, []).append(h)
+        faces: set[Face] = set()  # the carriers found to be base faces
+        for v, c in self.vertex_carrier.items():
+            if type(c) is tuple and c in faces:
+                continue
+            if type(c) is not tuple or not c or list(c) != sorted(set(c)) or not any(
+                    map(set(c).issubset, star.get(c[0], ()))):
+                raise ValueError(f"carrier of {v} is not a nonempty base face: {c}")
+            faces.add(c)
 
     @cached_property
     def _face_table(self) -> dict[tuple[int, int], int]:
@@ -103,8 +121,8 @@ def restriction(T: Triangulation, F) -> Triangulation:
     When every vertex of ``T.total`` has a carrier inside ``F``, the
     projection would give back the same facets, so ``T.total`` itself
     (with its memoized faces) is the restricted complex.  If moreover
-    ``F`` is the only facet of the base and the carrier map has no
-    other keys, the restriction is ``T`` itself, face table included.
+    ``F`` is the only facet of the base, the restriction is ``T``
+    itself, face table included.
     Otherwise each facet is cut down to the kept vertices with C-level
     set operations (:func:`_project`) and filtered by :func:`_maximal`;
     when no facet keeps a vertex, the restriction is the empty complex.
@@ -115,7 +133,7 @@ def restriction(T: Triangulation, F) -> Triangulation:
     inside = set(f)
     keep = set(compress(T.vertex_carrier, map(inside.issuperset, T.vertex_carrier.values())))
     if keep.issuperset(T.total.vertices):
-        if T.base.facets == (f,) and len(T.vertex_carrier) == len(T.total.vertices):
+        if T.base.facets == (f,):
             return T
         total = T.total
     else:
@@ -421,11 +439,9 @@ def random_triangulation(vertices, steps: int, seed: int) -> Triangulation:
 
 
 def _carrier_masks(T: Triangulation, carriers: dict) -> dict:
-    """Bit mask of each value of ``carriers``, bit i standing for
-    ``T.base.vertices[i]``; a face leaving the base gets no mask."""
+    """Bit mask of each base face in ``carriers``, bit i for ``T.base.vertices[i]``."""
     bit = {v: 1 << i for i, v in enumerate(T.base.vertices)}
-    return {key: sum(bit[u] for u in set(c))
-            for key, c in carriers.items() if all(u in bit for u in c)}
+    return {key: sum(bit[u] for u in c) for key, c in carriers.items()}
 
 
 def face_table(T: Triangulation) -> dict[tuple[int, int], int]:
@@ -434,12 +450,10 @@ def face_table(T: Triangulation) -> dict[tuple[int, int], int]:
     A face's mask ORs its vertices' :func:`_carrier_masks`.  It lies in
     the restriction to a base face F exactly when its mask is inside
     F's, so one table answers every restriction's face counts at once.
-    Faces that no restriction keeps (a vertex without a carrier, or
-    with one leaving the base) are left out.  Only the faces without an
-    interior vertex are walked one by one; those through one all have
-    the full mask and are counted per size by subtraction
-    (:func:`_tabulate_faces`).  The table is built once per ``T`` and
-    shared by every caller, who must only read it.
+    Only the faces without an interior vertex are walked one by one;
+    those through one all have the full mask and are counted per size
+    by subtraction (:func:`_tabulate_faces`).  The table is built once
+    per ``T`` and shared by every caller, who must only read it.
     """
     return T._face_table
 
@@ -449,32 +463,28 @@ def _tabulate_faces(T: Triangulation) -> dict[tuple[int, int], int]:
     interior vertex, one whose carrier mask is the whole base.
 
     A face through an interior vertex has the full mask, so those faces
-    are counted by subtraction, size by size: all faces with every
-    vertex carried minus the walked ones.  A walked face can have the
-    full mask too (an edge between two vertices whose carriers together
-    cover the base), so the difference is added to its count.  The
-    walked faces are freed before any set of all k-faces is built, and
-    only one face set is alive at a time.
+    are counted by subtraction, size by size: all faces minus the
+    walked ones.  A walked face can have the full mask too (an edge
+    between two vertices whose carriers together cover the base), so
+    the difference is added to its count.  The walked faces are freed
+    before any set of all k-faces is built, and only one face set is
+    alive at a time.
     """
     vertex_mask = _carrier_masks(T, T.vertex_carrier)
     full = (1 << len(T.base.vertices)) - 1
-    carried = vertex_mask.keys() & T.total.vertices
-    inner = {v for v in carried if vertex_mask[v] == full}
+    inner = {v for v, mask in vertex_mask.items() if mask == full}
     facets = T.total.facets
-    all_carried = len(carried) == len(T.total.vertices)
-    if not all_carried:
-        facets = _project(facets, carried)
     top = T.total.dimension() + 1
     table = {} if T.total.is_void else {(0, 0): 1}
-    outer = _project(facets, carried - inner) if inner else facets
+    outer = _project(facets, vertex_mask.keys() - inner) if inner else facets
     walked = _add_faces(table, outer, vertex_mask, top)
     if not inner:
         return table
     del outer
     for k in range(1, top + 1):
         if k == 1:
-            count = len(carried)
-        elif k == top and all_carried:  # every top-sized face is a facet
+            count = len(T.total.vertices)
+        elif k == top:  # every top-sized face is a facet
             count = len(facets) - bisect_left(facets, k, key=len)
         else:
             count = len(_faces_of_size(facets, k))
@@ -604,7 +614,7 @@ def f_triangle(kind: str, n: int) -> FTriangle:
 
 
 def validate_triangulation(T: Triangulation) -> dict[Face, Triangulation]:
-    """Check the structural rules; raises ValueError on the first hit.
+    """Check the rules the constructor leaves open; raises ValueError on the first hit.
 
     The last rule builds the restriction to every base face, top-down
     (:func:`_restrictions`), and checks in canonical order that each is
@@ -612,25 +622,14 @@ def validate_triangulation(T: Triangulation) -> dict[Face, Triangulation]:
     are returned, keyed by base face in canonical order, so a caller
     that needs them does not build them again.
     """
-    if set(T.vertex_carrier) != set(T.total.vertices):
-        raise ValueError("vertex_carrier keys must be exactly the total's vertices")
-    for v, c in T.vertex_carrier.items():
-        if c != face(c) or not c or c not in T.base:
-            raise ValueError(f"carrier of {v} is not a nonempty base face: {c}")
     singles = sorted(c[0] for c in T.vertex_carrier.values() if len(c) == 1)
     if tuple(singles) != T.base.vertices:
         raise ValueError("base vertices and singleton carriers do not match up")
     carried = set(_carrier_masks(T, {f: f for f in T.base.faces()}).values())
-    # Every carrier is a base face now, so the table has every face.
     if not carried.issuperset(mask for mask, _ in face_table(T)):
         vertex_mask = _carrier_masks(T, T.vertex_carrier)
-        bad = []
-        for g in T.total.face_set():
-            mask = 0
-            for v in g:
-                mask |= vertex_mask[v]
-            if mask not in carried:
-                bad.append(g)
+        bad = [g for g in T.total.face_set()
+               if reduce(or_, map(vertex_mask.__getitem__, g), 0) not in carried]
         g = min(bad, key=lambda g: (len(g), g))
         raise ValueError(f"face {g} is not carried by any base face")
     restrictions = _restrictions(T)

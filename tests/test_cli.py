@@ -470,6 +470,30 @@ class TestFTriangle:
         assert "exactly one" in err
 
 
+class TestCarrierErrors:
+    """A broken carrier map in an input file is reported at its JSON
+    path by the loader, never by the constructor's plain message."""
+
+    ENTRIES = [["localh"], ["ftriangle"], ["subdivide", "--kind", "sd"]]
+
+    @pytest.mark.parametrize("key, value, line", [
+        ("3", None, "error at /carrier: missing carriers for vertices [3]"),
+        ("4", [1], "error at /carrier/4: 4 is not a vertex of the total complex"),
+        ("3", [1, 9], "error at /carrier/3: (1, 9) is not a nonempty face of the base"),
+        ("3", [], "error at /carrier/3: () is not a nonempty face of the base"),
+    ], ids=["missing", "extra-key", "off-base", "empty"])
+    @pytest.mark.parametrize("argv", ENTRIES, ids=" ".join)
+    def test_loader_reports_the_path(self, capsys, tmp_path, argv, key, value, line):
+        obj = triangulation_to_json(barycentric(trivial((1, 2))))  # midpoint 3
+        if value is None:
+            del obj["carrier"][key]
+        else:
+            obj["carrier"][key] = value
+        path = tmp_path / "tri.json"
+        path.write_text(json.dumps(obj))
+        assert run(capsys, argv[0], "--input", str(path), *argv[1:]) == (2, "", line + "\n")
+
+
 class TestInputFacetCap:
     """Input files with a facet past 12 vertices are refused on loading,
     before any command starts its work on them."""

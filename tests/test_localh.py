@@ -109,7 +109,8 @@ class TestHFromLocal:
         assert h_from_local(T) == h_polynomial(T.total, 6)
 
     # The restrictions summed over are validation's, so a triangulation
-    # that validation rejects raises validation's own message.
+    # that validation rejects raises validation's own message.  An
+    # off-base carrier is refused with it earlier, at construction.
     @pytest.mark.parametrize("fault, message", [
         ("recarried center", "restriction to (1, 2) is not a triangulation of it"),
         ("off-base carrier", "carrier of 7 is not a nonempty base face: (1, 4)"),
@@ -124,6 +125,11 @@ class TestHFromLocal:
             carriers[7] = (1, 4)
         else:
             facets = [f for f in facets if f != (1, 4, 7)]
+        if fault == "off-base carrier":
+            with pytest.raises(ValueError) as built:
+                Triangulation(T.base, from_facets(facets), carriers)
+            assert str(built.value) == message
+            return
         bad = Triangulation(T.base, from_facets(facets), carriers)
         with pytest.raises(ValueError) as validated:
             triangulate.validate_triangulation(bad)
@@ -513,8 +519,8 @@ class TestRoundTripStaysIndependent:
     # _structural's round trip sums local h over the restrictions that
     # validate_triangulation built, so a fault is planted there.
     def test_structural_sees_a_dropped_face(self, monkeypatch):
-        # The restriction to the whole triangle loses the barycenter (and
-        # with it every face through it); no other restriction changes.
+        # The restriction to the whole triangle loses the barycenter, its
+        # carrier and every face through it; no other restriction changes.
         # What is left is the boundary cycle, which validation rejects.
         T = barycentric(trivial((1, 2, 3)))
         center = max(T.total.vertices)
@@ -524,7 +530,8 @@ class TestRoundTripStaysIndependent:
             if center not in R.total.vertices:
                 return R
             facets = [tuple(v for v in h if v != center) for h in R.total.facets]
-            return Triangulation(R.base, from_facets(facets), R.vertex_carrier)
+            carriers = {v: c for v, c in R.vertex_carrier.items() if v != center}
+            return Triangulation(R.base, from_facets(facets), carriers)
 
         problems = []
         assert verify._structural(T, 3, problems) == P("x+x^2")
