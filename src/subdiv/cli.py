@@ -78,7 +78,7 @@ def _load_triangulation(path: str) -> Triangulation:
             obj = json.load(fh)
     except OSError as err:
         raise ValueError(f"cannot read input: {err}") from err
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:  # too deeply nested
         raise ValueError(f"input is not valid JSON: {err}") from err
     if isinstance(obj, dict) and "facets" in obj and "carrier" not in obj:
         K = complex_from_json(obj)

@@ -61,9 +61,10 @@ class Triangulation:
 
     ``vertex_carrier`` maps each vertex of ``total`` to the base face
     it sits inside.  The constructor checks that the keys are exactly
-    the vertices of ``total`` and, in dict order, that each carrier is
-    a nonempty base face; :func:`validate_triangulation` checks the
-    other structural rules.  Like the faces of a complex, the
+    the vertices of ``total``, then in dict order that each carrier is
+    a nonempty base face of ints, then that each base vertex is the
+    carrier of exactly one vertex; :func:`validate_triangulation`
+    checks the face rules.  Like the faces of a complex, the
     :func:`face_table` is computed on first use and kept with the
     instance, so none of the three fields may change afterwards.
     """
@@ -80,14 +81,20 @@ class Triangulation:
         for h in map(set, self.base.facets):
             for u in h:
                 star.setdefault(u, []).append(h)
+        cs = self.vertex_carrier.values()
+        # Repeats skip the test only over exact ints, as (True, 2) == (1, 2).
+        exact = {tuple}.issuperset(map(type, cs)) and {int}.issuperset(map(type, chain(*cs)))
         faces: set[Face] = set()  # the carriers found to be base faces
         for v, c in self.vertex_carrier.items():
-            if type(c) is tuple and c in faces:
+            if exact and c in faces:
                 continue
-            if type(c) is not tuple or not c or list(c) != sorted(set(c)) or not any(
-                    map(set(c).issubset, star.get(c[0], ()))):
+            if (type(c) is not tuple or not c or not _all_ints(c)
+                    or list(c) != sorted(set(c))
+                    or not any(map(set(c).issubset, star.get(c[0], ())))):
                 raise ValueError(f"carrier of {v} is not a nonempty base face: {c}")
             faces.add(c)
+        if sorted(c[0] for c in cs if len(c) == 1) != list(self.base.vertices):
+            raise ValueError("base vertices and singleton carriers do not match up")
 
     @cached_property
     def _face_table(self) -> dict[tuple[int, int], int]:
@@ -118,11 +125,9 @@ def identity(K: SimplicialComplex) -> Triangulation:
 def restriction(T: Triangulation, F) -> Triangulation:
     """The induced triangulation of the base face ``F``.
 
-    When every vertex of ``T.total`` has a carrier inside ``F``, the
-    projection would give back the same facets, so ``T.total`` itself
-    (with its memoized faces) is the restricted complex.  If moreover
-    ``F`` is the only facet of the base, the restriction is ``T``
-    itself, face table included.
+    When every vertex of ``T.total`` has a carrier inside ``F``, so
+    does the vertex each base vertex carries: the base is the simplex
+    ``F``, and the restriction is ``T`` itself, face table included.
     Otherwise each facet is cut down to the kept vertices with C-level
     set operations (:func:`_project`) and filtered by :func:`_maximal`;
     when no facet keeps a vertex, the restriction is the empty complex.
@@ -133,14 +138,11 @@ def restriction(T: Triangulation, F) -> Triangulation:
     inside = set(f)
     keep = set(compress(T.vertex_carrier, map(inside.issuperset, T.vertex_carrier.values())))
     if keep.issuperset(T.total.vertices):
-        if T.base.facets == (f,):
-            return T
-        total = T.total
-    else:
-        # A void total has no vertices and took the branch above.
-        facets = _project(T.total.facets, keep) or {()}
-        labels = {v: s for v, s in T.total.labels.items() if v in keep}
-        total = SimplicialComplex(_maximal(facets), labels)
+        return T
+    # A void total has no vertices and returned above.
+    facets = _project(T.total.facets, keep) or {()}
+    labels = {v: s for v, s in T.total.labels.items() if v in keep}
+    total = SimplicialComplex(_maximal(facets), labels)
     carriers = {v: T.vertex_carrier[v] for v in total.vertices}
     return Triangulation(SimplicialComplex([f], {}), total, carriers)
 
@@ -622,9 +624,6 @@ def validate_triangulation(T: Triangulation) -> dict[Face, Triangulation]:
     are returned, keyed by base face in canonical order, so a caller
     that needs them does not build them again.
     """
-    singles = sorted(c[0] for c in T.vertex_carrier.values() if len(c) == 1)
-    if tuple(singles) != T.base.vertices:
-        raise ValueError("base vertices and singleton carriers do not match up")
     carried = set(_carrier_masks(T, {f: f for f in T.base.faces()}).values())
     if not carried.issuperset(mask for mask, _ in face_table(T)):
         vertex_mask = _carrier_masks(T, T.vertex_carrier)

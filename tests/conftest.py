@@ -41,19 +41,19 @@ def refined_stellar(draw):
 
 @st.composite
 def perturbed(draw, triangulations):
-    """Triangulations as drawn, or with one vertex moved to another
-    nonempty base face, so that fast and slow routes must also fail
-    alike."""
+    """Triangulations as drawn, or with one vertex whose carrier has two
+    or more vertices moved to another such base face, so that fast and
+    slow routes must also fail alike.  The singleton carriers stay."""
     from subdiv.triangulate import Triangulation
 
     T = draw(triangulations)
     mode = draw(st.sampled_from(("keep", "recarry")))
-    verts = T.total.vertices
-    if mode == "keep" or not verts:
+    inner = [v for v, c in T.vertex_carrier.items() if len(c) >= 2]
+    if mode == "keep" or not inner:
         return T
     carriers = dict(T.vertex_carrier)
-    carriers[draw(st.sampled_from(verts))] = draw(
-        st.sampled_from([f for f in T.base.faces() if f]))
+    carriers[draw(st.sampled_from(inner))] = draw(
+        st.sampled_from([f for f in T.base.faces() if len(f) >= 2]))
     return Triangulation(T.base, T.total, carriers)
 
 

@@ -99,6 +99,10 @@ class TestTables:
         assert code == 2
         assert "n <= 8" in err
 
+    def test_negative_n(self, capsys):
+        assert run(capsys, "tables", "--which", "1", "--n", "-1") == (
+            2, "", "error: n must be nonnegative\n")
+
 
 class TestLocalH:
     def test_trivial_simplex_is_zero(self, capsys, simplex3):
@@ -170,6 +174,23 @@ class TestLocalH:
         assert code == 2
         assert "cannot read input" in err
 
+    def test_malformed_json(self, capsys, tmp_path):
+        path = tmp_path / "cut.json"
+        path.write_text('{"facets": [[1, 2]')
+        assert run(capsys, "localh", "--input", str(path)) == (
+            2, "", "error: input is not valid JSON: "
+                   "Expecting ',' delimiter: line 1 column 19 (char 18)\n")
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        # The decoder gives up past the recursion limit; the wording of
+        # its reason varies between Python versions.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        code, out, err = run(capsys, "localh", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: input is not valid JSON: ")
+        assert err.count("\n") == 1
+
 
 class TestSubdivide:
     def test_output_reloads(self, capsys, simplex3, tmp_path):
@@ -234,6 +255,11 @@ class TestSubdivide:
                            "--kind", "fold")
         assert code == 2
         assert "unknown kind" in err
+
+    def test_bad_stellar_face(self, capsys, simplex3):
+        assert run(capsys, "subdivide", "--input", simplex3,
+                   "--kind", "stellar:1,x") == (
+            2, "", "error: bad stellar face in 'stellar:1,x'\n")
 
     @pytest.mark.parametrize("kind, facets", [
         ("sd", [range(1, 10)]),                    # 9! facets
@@ -412,15 +438,15 @@ class TestFTriangle:
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     def test_oversized_face_exits_two(self, capsys, tmp_path, fmt):
-        # Vertex 4 is carried by (1,) but lies in triangles with 2 and 3:
-        # no subdivision, refused as localh refuses it, not called mixed.
+        # Vertex 4 is carried by (1, 2) but lies in a triangle with 1 and
+        # 2: no subdivision, refused as localh refuses it, not called mixed.
         path = tmp_path / "oversized.json"
         path.write_text(json.dumps({
             "base": {"vertices": [1, 2, 3], "facets": [[1, 2, 3]]},
             "total": {"vertices": [1, 2, 3, 4],
                       "facets": [[1, 2, 4], [2, 3, 4], [1, 3, 4]]},
-            "carrier": {"1": [1], "2": [2], "3": [3], "4": [1]}}))
-        expected = (2, "", "error: complex of dimension 1 needs n >= 2\n")
+            "carrier": {"1": [1], "2": [2], "3": [3], "4": [1, 2]}}))
+        expected = (2, "", "error: complex of dimension 2 needs n >= 3\n")
         for command in ("ftriangle", "localh"):
             assert run(capsys, command, "--input", str(path),
                        "--format", fmt) == expected
@@ -463,6 +489,10 @@ class TestFTriangle:
         assert [f["detail"] for f in json.loads(out)["failures"]] == [
             f"raised ValueError: {message}"]
 
+    def test_kind_needs_n(self, capsys):
+        assert run(capsys, "ftriangle", "--kind", "sd") == (
+            2, "", "error: --kind needs --n\n")
+
     def test_needs_exactly_one_source(self, capsys, simplex3):
         code, _, err = run(capsys, "ftriangle", "--input", simplex3,
                            "--kind", "sd", "--n", "3")
@@ -492,6 +522,21 @@ class TestCarrierErrors:
         path = tmp_path / "tri.json"
         path.write_text(json.dumps(obj))
         assert run(capsys, argv[0], "--input", str(path), *argv[1:]) == (2, "", line + "\n")
+
+    # Maps the loader takes but the constructor refuses: base vertex 2
+    # carries no vertex of sd of the edge, or of a void total.
+    @pytest.mark.parametrize("total, carriers", [
+        ({"vertices": [1, 2, 3], "facets": [[1, 3], [2, 3]]},
+         {"1": [1], "2": [1, 2], "3": [1, 2]}),
+        ({"vertices": [], "facets": []}, {}),
+    ], ids=["singleton-missing", "void-total"])
+    @pytest.mark.parametrize("argv", ENTRIES + [["localh", "--emit-c"]], ids=" ".join)
+    def test_singleton_rule(self, capsys, tmp_path, argv, total, carriers):
+        path = tmp_path / "tri.json"
+        path.write_text(json.dumps({"base": {"vertices": [1, 2], "facets": [[1, 2]]},
+                                    "total": total, "carrier": carriers}))
+        assert run(capsys, argv[0], "--input", str(path), *argv[1:]) == (
+            2, "", "error: base vertices and singleton carriers do not match up\n")
 
 
 class TestInputFacetCap:
@@ -815,6 +860,10 @@ class TestVerifyCommand:
     def test_malformed_value_is_parsed_only_when_read(self, capsys, suite,
                                                       flag, err):
         assert run(capsys, "verify", suite, flag, "x") == (2, "", err)
+
+    def test_reversed_range(self, capsys):
+        assert run(capsys, "verify", "thm-sd", "--n", "4..2") == (
+            2, "", "error: cannot parse --n '4..2'\n")
 
     def test_bad_steps(self, capsys):
         assert run(capsys, "verify", "thm-sd", "--steps", "-1") == (

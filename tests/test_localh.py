@@ -281,6 +281,8 @@ class TestEllMkj:
             ell_mkj(bary(4), 4, 1, 4)
         with pytest.raises(ValueError):
             ell_mkj(bary(4), 4, -1, 0)
+        assert outcome(ell_mkj, f_triangle("sd", 2), 3, 0, 0) == (
+            "ValueError", "need 0 <= m <= 2, got m=3", None)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_barycentric_matches_position_refined_count(self, n):
@@ -389,6 +391,7 @@ class TestSecondSd:
     def test_degenerate_sizes(self):
         assert second_sd_local_h(0) == (1,)
         assert second_sd_local_h(1) == ()
+        assert outcome(second_sd_local_h, -1) == ("ValueError", "n must be nonnegative", None)
 
     def test_small_values(self):
         assert second_sd_local_h(2) == P("3x")
@@ -446,11 +449,6 @@ def restriction_c_coefficients(G):
     return CoefficientMatrix(n, tuple(rows))
 
 
-def void_total(n):
-    simplex = full_simplex(range(1, n + 1))
-    return Triangulation(simplex, from_facets([]), {})
-
-
 class TestFaceTableRoutes:
     @settings(max_examples=60, deadline=None)
     @given(perturbed(refined_stellar()))
@@ -461,10 +459,9 @@ class TestFaceTableRoutes:
     @pytest.mark.parametrize("T", [
         edgewise(full_stellar(6), 2),
         trivial(()),
-        void_total(0),
-        void_total(3),
+        Triangulation(full_simplex(()), from_facets([]), {}),
         identity(from_facets([(1, 2), (2, 3)])),
-    ], ids=["esd-counterexample", "trivial-empty", "void-0", "void-3", "non-simplex"])
+    ], ids=["esd-counterexample", "trivial-empty", "void-0", "non-simplex"])
     def test_fixed_cases(self, T):
         assert outcome(local_h, T) == outcome(restriction_local_h, T)
         assert outcome(c_coefficients, T) == outcome(restriction_c_coefficients, T)
@@ -472,9 +469,9 @@ class TestFaceTableRoutes:
     def test_oversized_face_error_matches(self):
         T = barycentric(trivial((1, 2, 3)))
         wrong = dict(T.vertex_carrier)
-        wrong[max(wrong)] = (1,)
+        wrong[max(wrong)] = (1, 2)
         broken = Triangulation(T.base, T.total, wrong)
-        expected = ("ValueError", "complex of dimension 1 needs n >= 2", None)
+        expected = ("ValueError", "complex of dimension 2 needs n >= 3", None)
         assert outcome(restriction_local_h, broken) == expected
         assert outcome(local_h, broken) == expected
         assert outcome(c_coefficients, broken) == expected

@@ -242,6 +242,11 @@ class TestEulerian:
         with pytest.raises(ValueError):
             eulerian(11)
 
+    def test_negative_n(self):
+        with pytest.raises(ValueError) as err:
+            eulerian(-1)
+        assert str(err.value) == "n must be nonnegative"
+
     @pytest.mark.parametrize("n", range(9))
     def test_agrees_with_excedance_route(self, n):
         # The library builds d_n00 by recurrences; the oracle counts descents.

@@ -17,6 +17,7 @@ from subdiv.poly import (
     NotSymmetricError,
     PolyParseError,
     add,
+    binom,
     degree,
     derivative,
     format_poly,
@@ -56,6 +57,18 @@ class TestArithmetic:
 
     def test_shift(self):
         assert shift((0, 3, 1), 1) == (0, 0, 3, 1)
+
+    @pytest.mark.parametrize("fn, message", [
+        (shift, "shift exponent must be nonnegative"),
+        (power, "negative power"),
+    ], ids=["shift", "power"])
+    def test_negative_exponent(self, fn, message):
+        with pytest.raises(ValueError) as err:
+            fn((1, 1), -1)
+        assert str(err.value) == message
+
+    def test_binom_outside_the_range(self):
+        assert binom(3, 4) == binom(3, -1) == 0
 
     def test_zero_is_empty_tuple(self):
         assert add((2, 1), (-2, -1)) == ()

@@ -225,6 +225,10 @@ class TestSequences:
     def test_swapped_pair_fails(self):
         assert not is_interlacing_sequence([P("x+3x^2"), P("3x+x^2")])
 
+    def test_lone_entry_must_be_real_rooted(self):
+        # No pair to compare, so only the real-rootedness pass refuses it.
+        assert not is_interlacing_sequence([(1, 0, 1)])
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_consecutive_plus_extremes_shortcut_consistent(self, n):
         # When consecutive pairs interlace, the pairwise definition holds

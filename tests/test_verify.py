@@ -214,7 +214,7 @@ class TestFailureDetection:
         T = barycentric(trivial((1, 2, 3)))
         wrong = dict(T.vertex_carrier)
         apex = max(wrong)
-        wrong[apex] = (1,)
+        wrong[apex] = (1, 2)
         broken = Triangulation(T.base, T.total, wrong)
         problems: list[str] = []
         verify._structural(broken, 3, problems)
