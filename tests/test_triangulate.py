@@ -1046,8 +1046,8 @@ class TestCarrierMapRejections:
                      "carrier of 3 is not a nonempty base face: ('1', 2)", id="str-and-int"),
         pytest.param(_sd_edge_carriers(v3=(1, None)),
                      "carrier of 3 is not a nonempty base face: (1, None)", id="none-entry"),
-        # equal to the carrier of vertex 1, so no repeat of a tested one,
-        # and reported before the later bad carrier of vertex 4
+        # equal to vertex 1's carrier yet tested again, and reported
+        # before the later bad carrier of vertex 4
         pytest.param(_with_carriers(edgewise(trivial((1, 2)), 3),
                                     {1: (1, 2), 2: (True, 2), 3: (1,), 4: (9,)}),
                      "carrier of 2 is not a nonempty base face: (True, 2)",
