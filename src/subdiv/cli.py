@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import verify as verify_mod
-from .complexes import SchemaError, complex_from_json
+from .complexes import SchemaError
 from .localh import _require_simplex_base, c_coefficients, local_h, local_h_via_uniform
 from .perm import E_NR_BUDGET, E_nr, d_nk, d_nkj, p_nk
 from .poly import Poly, format_poly, parse_poly, poly_to_json
@@ -29,11 +29,9 @@ from .triangulate import (
     NotUniformError,
     Triangulation,
     UnknownKindError,
-    _check_input_facets,
     check_simplex,
     f_triangle,
     f_triangle_of,
-    identity,
     random_triangulation,
     refine,
     stellar,
@@ -69,10 +67,8 @@ def _parse_int_spec(text: str, what: str) -> tuple[int, ...]:
 
 
 def _load_triangulation(path: str) -> Triangulation:
-    """Read triangulation JSON; a bare complex is lifted to identity.
-
-    Inputs with a facet on more than ``INPUT_FACET_CAP`` vertices are
-    refused before anything else is checked against their faces."""
+    """Read the file at ``path``, parse it as JSON, and load it with
+    ``triangulation_from_json``, which takes either input form."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -80,10 +76,6 @@ def _load_triangulation(path: str) -> Triangulation:
         raise ValueError(f"cannot read input: {err}") from err
     except (json.JSONDecodeError, RecursionError) as err:  # too deeply nested
         raise ValueError(f"input is not valid JSON: {err}") from err
-    if isinstance(obj, dict) and "facets" in obj and "carrier" not in obj:
-        K = complex_from_json(obj)
-        _check_input_facets(K)
-        return identity(K)
     return triangulation_from_json(obj)
 
 
@@ -148,6 +140,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_localh(args) -> int:
+    if args.emit_c and args.format != "text":
+        raise ValueError("--format is not read with --emit-c")
     T = _load_triangulation(args.input)
     n = len(_require_simplex_base(T))
     if args.emit_c:
@@ -166,8 +160,10 @@ def cmd_localh(args) -> int:
 
 
 def cmd_subdivide(args) -> int:
-    T = _load_triangulation(args.input)
     kind = args.kind
+    if args.seed is not None and not kind.startswith("random:"):
+        raise ValueError("--seed is read only with --kind random:STEPS")
+    T = _load_triangulation(args.input)
     if kind.startswith("stellar:"):
         try:
             g = tuple(int(v) for v in kind.split(":", 1)[1].split(","))
@@ -184,7 +180,7 @@ def cmd_subdivide(args) -> int:
         if len(T.total.facets) != 1:
             raise ValueError("random refinement starts from the trivial "
                              "triangulation; input must be a single simplex")
-        out = random_triangulation(T.base.vertices, steps, seed=args.seed)
+        out = random_triangulation(T.base.vertices, steps, seed=args.seed or 0)
     else:
         try:
             out = refine(T, kind)
@@ -201,6 +197,8 @@ def _roots(f: Poly) -> str | None:
 
 
 def cmd_interlace(args) -> int:
+    if args.explain and args.format != "text":
+        raise ValueError("--explain is read only with --format text")
     f = parse_poly(args.f)
     g = parse_poly(args.g)
     ok, reason = interlace_reason(f, g)
@@ -277,6 +275,8 @@ def _report_body(report) -> dict:
 
 
 def cmd_verify(args) -> int:
+    if args.verbose and args.format != "text":
+        raise ValueError("--verbose is read only with --format text")
     # Parsed when run_suite first reads it, so a value the suite does not
     # read is refused as unread, not as malformed.
     def lazy(text, flag):
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sd | esd:R | stellar:V1,V2,... | random:STEPS; "
                         f"sd and esd:R are limited to {FACETS_CAP} "
                         "refined facets")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=int, default=None,
                    help="PRNG seed for random:STEPS (default 0)")
     p.set_defaults(handler=cmd_subdivide)
 
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("f", help="polynomial, e.g. '1+4x+x^2'")
     p.add_argument("g", help="polynomial, e.g. 'x+4x^2+x^3'")
     p.add_argument("--explain", action="store_true",
-                   help="also print root isolation intervals")
+                   help="also print root isolation intervals (text format)")
     p.set_defaults(handler=cmd_interlace)
 
     p = sub.add_parser("ftriangle", parents=[common],

@@ -18,6 +18,11 @@ from .poly import Poly, binom, normalize
 
 Face = tuple[int, ...]
 
+# Vertices one facet of an input file may have.  localh and subdivide
+# list all 2^n faces of an n-vertex simplex; ftriangle --input took
+# 1.6 s at 12 vertices and 24 s at 14.
+INPUT_FACET_CAP = 12
+
 
 def face(vertices) -> Face:
     """Sorted, deduplicated face from any iterable of vertex ids."""
@@ -273,7 +278,8 @@ def complex_from_json(obj) -> SimplicialComplex:
 
     Errors carry JSON-pointer paths.  The declared vertex list must
     equal the union of the facets: isolated vertices belong in facets
-    of size one.
+    of size one.  Then a facet past ``INPUT_FACET_CAP`` vertices is
+    refused, before the domination filter runs.
     """
     if not isinstance(obj, dict):
         raise SchemaError("", "expected an object")
@@ -316,6 +322,10 @@ def complex_from_json(obj) -> SimplicialComplex:
             if not isinstance(val, str):
                 raise SchemaError(f"/labels/{key}", "label must be a string")
             labels[v] = val
+    size = max(map(len, facets), default=0)
+    if size > INPUT_FACET_CAP:
+        raise ValueError(f"input has a facet on {size} vertices; "
+                         f"the limit is {INPUT_FACET_CAP}")
     # Every entry is an int and every label names a used vertex, which
     # is all that from_facets would check again.
     return SimplicialComplex(_maximal(facets), labels)

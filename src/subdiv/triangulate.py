@@ -49,10 +49,6 @@ FACETS_CAP = factorial(8)
 TABLES_N_CAP = 8
 # Stellar steps of one random refinement; each step lists every face.
 STEPS_CAP = 64
-# Vertices one facet of an input file may have.  localh and subdivide
-# list all 2^n faces of an n-vertex simplex; ftriangle --input took
-# 1.6 s at 12 vertices and 24 s at 14.
-INPUT_FACET_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -61,7 +57,8 @@ class Triangulation:
 
     ``vertex_carrier`` maps each vertex of ``total`` to the base face
     it sits inside.  The constructor checks that the keys are exactly
-    the vertices of ``total``, then in dict order that each carrier is
+    the vertices of ``total``, naming the first extra key in dict order
+    or else the missing ones, then in dict order that each carrier is
     a nonempty base face of ints, then that each base vertex is the
     carrier of exactly one vertex; :func:`validate_triangulation`
     checks the face rules.  Like the faces of a complex, the
@@ -74,8 +71,13 @@ class Triangulation:
     vertex_carrier: dict[int, Face]
 
     def __post_init__(self):
-        if self.vertex_carrier.keys() != set(self.total.vertices):
-            raise ValueError("vertex_carrier keys must be exactly the total's vertices")
+        vertices = set(self.total.vertices)
+        if self.vertex_carrier.keys() != vertices:
+            for v in self.vertex_carrier:
+                if v not in vertices:
+                    raise ValueError(f"carrier key {v!r} is not a vertex of the total complex")
+            missing = [v for v in self.total.vertices if v not in self.vertex_carrier]
+            raise ValueError(f"missing carriers for vertices {missing}")
         # Not ``c in self.base``, which lists the 2^n faces of an n-simplex.
         star: dict[int, list[set[int]]] = {}
         for h in map(set, self.base.facets):
@@ -634,7 +636,7 @@ def validate_triangulation(T: Triangulation) -> dict[Face, Triangulation]:
     restrictions = _restrictions(T)
     for f, R in restrictions.items():
         sub = R.total
-        if sub.is_void or not sub.is_pure() or sub.dimension() != len(f) - 1:
+        if not sub.is_pure() or sub.dimension() != len(f) - 1:
             raise ValueError(f"restriction to {f} is not a triangulation of it")
     return restrictions
 
@@ -648,14 +650,6 @@ def triangulation_to_json(T: Triangulation) -> dict:
     }
 
 
-def _check_input_facets(*complexes: SimplicialComplex) -> None:
-    """Refuse input with a facet on more than ``INPUT_FACET_CAP`` vertices."""
-    size = max((len(f) for K in complexes for f in K.facets), default=0)
-    if size > INPUT_FACET_CAP:
-        raise ValueError(f"input has a facet on {size} vertices; "
-                         f"the limit is {INPUT_FACET_CAP}")
-
-
 def _nested_complex(obj, key: str) -> SimplicialComplex:
     try:
         return complex_from_json(obj[key])
@@ -664,38 +658,32 @@ def _nested_complex(obj, key: str) -> SimplicialComplex:
 
 
 def triangulation_from_json(obj) -> Triangulation:
-    """Parse and schema-check the wire form of a triangulation.
+    """Read either input form: the wire form of a triangulation, or a
+    bare complex, which is lifted to its :func:`identity`.
 
-    Input with a facet past ``INPUT_FACET_CAP`` vertices is refused.
+    The loader checks only the wire format and reports it at JSON
+    pointer paths; the :class:`Triangulation` constructor checks the
+    carrier map.  :func:`complex_from_json` refuses a facet past
+    ``INPUT_FACET_CAP`` vertices, ``base`` before ``total`` is read.
     """
     if not isinstance(obj, dict):
         raise SchemaError("", "expected an object")
+    if "facets" in obj and "carrier" not in obj:
+        return identity(complex_from_json(obj))
     for key in ("base", "total", "carrier"):
         if key not in obj:
             raise SchemaError(f"/{key}", "missing required key")
     base = _nested_complex(obj, "base")
     total = _nested_complex(obj, "total")
-    # First, since checking a carrier lists every face of the base.
-    _check_input_facets(base, total)
     raw = obj["carrier"]
     if not isinstance(raw, dict):
         raise SchemaError("/carrier", "expected an object")
-    vertices = set(total.vertices)
     carriers: dict[int, Face] = {}
     for k, val in raw.items():
-        where = f"/carrier/{k}"
         v = _vertex_key(k)
         if v is None:
-            raise SchemaError(where, "key must be an integer vertex id")
-        if v not in vertices:
-            raise SchemaError(where, f"{v} is not a vertex of the total complex")
+            raise SchemaError(f"/carrier/{k}", "key must be an integer vertex id")
         if not isinstance(val, list) or not _all_ints(val):
-            raise SchemaError(where, "carrier must be a list of integers")
-        c = face(val)
-        if not c or c not in base:
-            raise SchemaError(where, f"{c} is not a nonempty face of the base")
-        carriers[v] = c
-    missing = [v for v in total.vertices if v not in carriers]
-    if missing:
-        raise SchemaError("/carrier", f"missing carriers for vertices {missing}")
+            raise SchemaError(f"/carrier/{k}", "carrier must be a list of integers")
+        carriers[v] = face(val)
     return Triangulation(base, total, carriers)

@@ -501,17 +501,18 @@ class TestFTriangle:
 
 
 class TestCarrierErrors:
-    """A broken carrier map in an input file is reported at its JSON
-    path by the loader, never by the constructor's plain message."""
+    """A broken carrier map in an input file exits 2: a wire-format fault
+    with its JSON path, a carrier rule with the constructor's message."""
 
     ENTRIES = [["localh"], ["ftriangle"], ["subdivide", "--kind", "sd"]]
 
     @pytest.mark.parametrize("key, value, line", [
-        ("3", None, "error at /carrier: missing carriers for vertices [3]"),
-        ("4", [1], "error at /carrier/4: 4 is not a vertex of the total complex"),
-        ("3", [1, 9], "error at /carrier/3: (1, 9) is not a nonempty face of the base"),
-        ("3", [], "error at /carrier/3: () is not a nonempty face of the base"),
-    ], ids=["missing", "extra-key", "off-base", "empty"])
+        ("3", None, "error: missing carriers for vertices [3]"),
+        ("4", [1], "error: carrier key 4 is not a vertex of the total complex"),
+        ("3", [1, 9], "error: carrier of 3 is not a nonempty base face: (1, 9)"),
+        ("3", [], "error: carrier of 3 is not a nonempty base face: ()"),
+        ("3", [1, "2"], "error at /carrier/3: carrier must be a list of integers"),
+    ], ids=["missing", "extra-key", "off-base", "empty", "not-ints"])
     @pytest.mark.parametrize("argv", ENTRIES, ids=" ".join)
     def test_loader_reports_the_path(self, capsys, tmp_path, argv, key, value, line):
         obj = triangulation_to_json(barycentric(trivial((1, 2))))  # midpoint 3
@@ -1090,6 +1091,46 @@ class TestOptionReaders:
         plain = run(capsys, *argv)
         assert plain[0] == 0
         assert run(capsys, *argv, "--seed", "0") == plain
+
+    @pytest.mark.parametrize("argv, line", [
+        (["localh", "--input", "tri.json", "--emit-c", "--format", "csv"],
+         "error: --format is not read with --emit-c"),
+        (["localh", "--input", "tri.json", "--emit-c", "--format", "json"],
+         "error: --format is not read with --emit-c"),
+        (["interlace", "1+x", "x", "--explain", "--format", "csv"],
+         "error: --explain is read only with --format text"),
+        (["interlace", "1+x", "x", "--explain", "--format", "json"],
+         "error: --explain is read only with --format text"),
+        (["verify", "foata", "--n", "3", "--verbose", "--format", "json"],
+         "error: --verbose is read only with --format text"),
+        (["verify", "foata", "--n", "3", "--verbose", "--format", "csv"],
+         "error: --verbose is read only with --format text"),
+        (["subdivide", "--input", "tri.json", "--kind", "sd", "--seed", "4"],
+         "error: --seed is read only with --kind random:STEPS"),
+        (["subdivide", "--input", "tri.json", "--kind", "stellar:1,2", "--seed", "0"],
+         "error: --seed is read only with --kind random:STEPS"),
+    ], ids=["emit-c-csv", "emit-c-json", "explain-csv", "explain-json",
+            "verbose-json", "verbose-csv", "seed-sd", "seed-stellar"])
+    def test_unread_combination_refused(self, capsys, argv, line):
+        # Refused before the input is read: tri.json does not exist.
+        assert run(capsys, *argv) == (2, "", line + "\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["localh", "--input", "{s}", "--emit-c", "--format", "text"],
+        ["interlace", "1+x", "x", "--explain", "--format", "text"],
+        ["verify", "foata", "--n", "3", "--verbose", "--format", "text"],
+    ], ids=["emit-c", "explain", "verbose"])
+    def test_text_format_is_read(self, capsys, simplex3, argv):
+        argv = [a.replace("{s}", simplex3) for a in argv]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+        assert run(capsys, *argv[:-2])[:2] == (code, out)
+
+    def test_random_seed_is_read(self, capsys, simplex3):
+        argv = ["subdivide", "--input", simplex3, "--kind", "random:3"]
+        seeded = run(capsys, *argv, "--seed", "4")
+        assert seeded[0] == 0
+        assert seeded != run(capsys, *argv)
 
 
 def readme_commands():

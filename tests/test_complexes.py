@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import eval_at
+from subdiv import complexes as complexes_mod
 from subdiv.complexes import (
+    INPUT_FACET_CAP,
     SchemaError,
     SimplicialComplex,
     _maximal,
@@ -597,3 +599,42 @@ class TestJsonRejections:
                         labels={-12: "a", 0: "b", 7: "c", 10: "d"})
         back = complex_from_json(json.loads(json.dumps(complex_to_json(K))))
         assert back == K and back.labels == K.labels
+
+
+class TestInputFacetCap:
+    """``complex_from_json`` refuses a facet past 12 vertices itself, after
+    the schema checks and before the domination filter."""
+
+    @staticmethod
+    def spanning(n: int, extra=()) -> dict:
+        return {"vertices": list(range(1, n + 1)),
+                "facets": [list(range(1, n + 1)), *extra]}
+
+    def test_thirteen_vertices_refused(self, monkeypatch):
+        def filtered(*args):
+            raise AssertionError("domination filter ran before the size check")
+
+        monkeypatch.setattr(complexes_mod, "_maximal", filtered)
+        with pytest.raises(ValueError) as err:
+            complex_from_json(self.spanning(13, extra=[[1, 2], [3]]))
+        assert type(err.value) is ValueError
+        assert str(err.value) == "input has a facet on 13 vertices; the limit is 12"
+
+    def test_largest_facet_is_named(self):
+        obj = self.spanning(13, extra=[list(range(20, 38))])
+        obj["vertices"] += list(range(20, 38))
+        with pytest.raises(ValueError) as err:
+            complex_from_json(obj)
+        assert str(err.value) == "input has a facet on 18 vertices; the limit is 12"
+
+    def test_repeated_entries_count_once(self):
+        obj = self.spanning(12)
+        obj["facets"][0] += [1, 2]
+        assert complex_from_json(obj) == full_simplex(range(1, INPUT_FACET_CAP + 1))
+
+    def test_schema_errors_come_first(self):
+        obj = self.spanning(13, extra=[[1, "a"]])
+        with pytest.raises(SchemaError) as err:
+            complex_from_json(obj)
+        assert (err.value.path, err.value.message) == (
+            "/facets/1/1", "expected an integer, got 'a'")

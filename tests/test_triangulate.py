@@ -12,7 +12,9 @@ from subdiv import triangulate as triangulate_mod
 from subdiv.complexes import (
     SchemaError,
     SimplicialComplex,
+    complex_from_json,
     complex_to_json,
+    face,
     from_facets,
     full_simplex,
     h_polynomial,
@@ -60,7 +62,14 @@ def find_vertex(T: Triangulation, want) -> int:
     return matches[0]
 
 
-KEYS = "vertex_carrier keys must be exactly the total's vertices"
+def extra_key(v) -> str:
+    return f"carrier key {v} is not a vertex of the total complex"
+
+
+def missing_keys(*vs) -> str:
+    return f"missing carriers for vertices {list(vs)}"
+
+
 SINGLES = "base vertices and singleton carriers do not match up"
 
 
@@ -148,7 +157,7 @@ class TestRestriction:
         T = sd3()
         carriers = dict(T.vertex_carrier)
         del carriers[find_vertex(T, (2,))]
-        assert refused(T.base, T.total, carriers) == KEYS
+        assert refused(T.base, T.total, carriers) == missing_keys(find_vertex(T, (2,)))
 
     def test_void_total_stays_void(self):
         T = Triangulation(full_simplex(()), from_facets([]), {})
@@ -181,7 +190,7 @@ class TestTopFaceReuse:
     def test_no_carriers_at_all(self):
         # Every carrier would lie inside F vacuously; the map is refused.
         K = full_simplex((1, 2, 3))
-        assert refused(K, K, {}) == KEYS
+        assert refused(K, K, {}) == missing_keys(1, 2, 3)
 
 
 def loop_face_table(T: Triangulation) -> dict:
@@ -231,11 +240,11 @@ class TestTopRestrictionIsT:
 
     def test_extra_carrier_key(self):
         T = sd3()
-        assert refused(T.base, T.total, {**T.vertex_carrier, 99: (1,)}) == KEYS
+        assert refused(T.base, T.total, {**T.vertex_carrier, 99: (1,)}) == extra_key(99)
 
     # A map that leaves the center out of the top restriction is refused.
     @pytest.mark.parametrize("carrier, message", [
-        (None, KEYS),
+        (None, missing_keys(7)),
         ((9,), "carrier of 7 is not a nonempty base face: (9,)"),
     ], ids=["no-carrier", "leaves-face"])
     def test_dropped_vertex(self, carrier, message):
@@ -842,11 +851,35 @@ class TestValidationAndJson:
         assert out["carrier"] == {"1": [1], "2": [2]}
 
     def test_rejects_bad_carrier(self):
+        # A carrier rule, so the constructor's message, with no path.
         out = triangulation_to_json(trivial((1, 2)))
         out["carrier"]["2"] = [9]
-        with pytest.raises(Exception) as err:
+        with pytest.raises(ValueError) as err:
             triangulation_from_json(out)
-        assert "/carrier/2" in str(err.value)
+        assert type(err.value) is ValueError
+        assert str(err.value) == "carrier of 2 is not a nonempty base face: (9,)"
+
+    def test_bare_complex_is_its_identity(self):
+        obj = {"vertices": [1, 2, 3, 4], "facets": [[1, 2, 3], [3, 4]],
+               "labels": {"4": "tip"}}
+        T = triangulation_from_json(obj)
+        assert T == identity(complex_from_json(obj))
+        assert T.vertex_carrier == {1: (1,), 2: (2,), 3: (3,), 4: (4,)}
+        assert T.total.labels == {4: "tip"}
+
+    def test_carrier_key_means_a_triangulation(self):
+        # A carrier object makes the file a triangulation, facets or not.
+        with pytest.raises(SchemaError) as err:
+            triangulation_from_json({"vertices": [1], "facets": [[1]], "carrier": {}})
+        assert (err.value.path, err.value.message) == ("/base", "missing required key")
+
+    def test_base_cap_before_total_is_read(self):
+        big = list(range(1, 14))
+        obj = {"base": {"vertices": big, "facets": [big]}, "total": [], "carrier": []}
+        with pytest.raises(ValueError) as err:
+            triangulation_from_json(obj)
+        assert type(err.value) is ValueError
+        assert str(err.value) == "input has a facet on 13 vertices; the limit is 12"
 
 
 def _carrier_edit(edit):
@@ -865,13 +898,15 @@ def _replace_carrier(value):
 
 
 class TestJsonRejections:
-    """Every loader rejection, with its JSON pointer and message."""
+    """Every refusal of a triangulation file: a wire-format fault at its
+    JSON pointer, and a carrier rule (``path`` None) with the message of
+    the ``Triangulation`` constructor, which alone checks those rules."""
 
     @pytest.mark.parametrize("edit, path, message", [
         (lambda c: c.update({"x": [1]}),
          "/carrier/x", "key must be an integer vertex id"),
         (lambda c: c.update({"9": [1]}),
-         "/carrier/9", "9 is not a vertex of the total complex"),
+         None, extra_key(9)),
         (lambda c: c.update({"2": 2}),
          "/carrier/2", "carrier must be a list of integers"),
         (lambda c: c.update({"2": [True]}),
@@ -879,22 +914,28 @@ class TestJsonRejections:
         (lambda c: c.update({"3": [1, 2.0]}),
          "/carrier/3", "carrier must be a list of integers"),
         (lambda c: c.update({"3": []}),
-         "/carrier/3", "() is not a nonempty face of the base"),
+         None, "carrier of 3 is not a nonempty base face: ()"),
         (lambda c: c.update({"3": [1, 9]}),
-         "/carrier/3", "(1, 9) is not a nonempty face of the base"),
+         None, "carrier of 3 is not a nonempty base face: (1, 9)"),
         (lambda c: c.pop("3"),
-         "/carrier", "missing carriers for vertices [3]"),
+         None, missing_keys(3)),
         (lambda c: c.clear(),
-         "/carrier", "missing carriers for vertices [1, 2, 3]"),
+         None, missing_keys(1, 2, 3)),
         # the first offender in key order is reported
         (_replace_carrier({"1": [1], "x": [1], "9": [1]}),
          "/carrier/x", "key must be an integer vertex id"),
-        (_replace_carrier({"1": [1], "9": [1], "x": [1]}),
-         "/carrier/9", "9 is not a vertex of the total complex"),
-        (_replace_carrier({"2": [9], "1": "a"}),
-         "/carrier/2", "(9,) is not a nonempty face of the base"),
+        (_replace_carrier({"1": [1], "9": [1], "8": [1]}),
+         None, extra_key(9)),
+        (_replace_carrier({"2": [9], "1": [8], "3": [1, 2]}),
+         None, "carrier of 2 is not a nonempty base face: (9,)"),
+        # the keys before the carriers, so the missing vertex 3 comes first
         (_replace_carrier({"1": [1], "2": []}),
-         "/carrier/2", "() is not a nonempty face of the base"),
+         None, missing_keys(3)),
+        # the wire format before any carrier rule
+        (_replace_carrier({"1": [1], "9": [1], "x": [1]}),
+         "/carrier/x", "key must be an integer vertex id"),
+        (_replace_carrier({"2": [9], "1": "a"}),
+         "/carrier/1", "carrier must be a list of integers"),
         # a key names a vertex only as str(v), never in another spelling
         (_replace_carrier({"1": [1], "2": [2], " 2": [1]}),
          "/carrier/ 2", "key must be an integer vertex id"),
@@ -907,12 +948,41 @@ class TestJsonRejections:
     ], ids=["key-not-int", "key-not-vertex", "not-a-list", "bool",
             "float", "empty", "not-base-face", "one-missing", "all-missing",
             "first-bad-key", "first-unknown-vertex", "first-bad-face",
-            "bad-face-before-missing", "key-space", "key-plus",
-            "key-zero-padded", "key-underscore"])
+            "bad-face-before-missing", "spelling-before-keys", "list-before-faces",
+            "key-space", "key-plus", "key-zero-padded", "key-underscore"])
     def test_carrier_errors(self, edit, path, message):
-        with pytest.raises(SchemaError) as err:
+        with pytest.raises(ValueError) as err:
             triangulation_from_json(_carrier_edit(edit))
-        assert (err.value.path, err.value.message) == (path, message)
+        if path is None:
+            assert type(err.value) is ValueError
+            assert str(err.value) == message
+        else:
+            assert type(err.value) is SchemaError
+            assert (err.value.path, err.value.message) == (path, message)
+
+    @settings(max_examples=60, deadline=None)
+    @given(perturbed(refined_stellar()), st.data())
+    def test_loader_refuses_as_the_constructor(self, T, data):
+        # One edit that breaks a carrier rule: a key dropped, a key added
+        # at any place in dict order, or a carrier moved off the base.
+        carriers = dict(T.vertex_carrier)
+        v = data.draw(st.sampled_from(T.total.vertices))
+        edit = data.draw(st.sampled_from(("drop", "add", "off-base")))
+        if edit == "drop":
+            del carriers[v]
+        elif edit == "add":
+            items = list(carriers.items())
+            new = (max(T.total.vertices) + data.draw(st.integers(1, 3)), carriers[v])
+            items.insert(data.draw(st.integers(0, len(items))), new)
+            carriers = dict(items)
+        else:
+            outside = max(T.base.vertices) + 1
+            carriers[v] = data.draw(st.sampled_from([(outside,), face(carriers[v] + (outside,))]))
+        obj = {"base": complex_to_json(T.base), "total": complex_to_json(T.total),
+               "carrier": {str(u): list(c) for u, c in carriers.items()}}
+        got = outcome(triangulation_from_json, json.loads(json.dumps(obj)))
+        assert got[0] == "ValueError"
+        assert got == outcome(Triangulation, T.base, T.total, carriers)
 
     @pytest.mark.parametrize("obj, path, message", [
         ([], "", "expected an object"),
@@ -970,8 +1040,9 @@ def _sd_edge_carriers(**edits) -> tuple:
 
 # Carrier maps that the constructor refuses, in the order of the checks.
 SHAPE_CASES = [
-    pytest.param(_with_carriers(trivial((1, 2)), {1: (1,)}), KEYS, id="key-missing"),
-    pytest.param(_with_carriers(trivial((1, 2)), {1: (1,), 2: (2,), 3: (1,)}), KEYS,
+    pytest.param(_with_carriers(trivial((1, 2)), {1: (1,)}), missing_keys(2),
+                 id="key-missing"),
+    pytest.param(_with_carriers(trivial((1, 2)), {1: (1,), 2: (2,), 3: (1,)}), extra_key(3),
                  id="key-extra"),
     pytest.param(_sd_edge_carriers(v3=(1, 9)),
                  "carrier of 3 is not a nonempty base face: (1, 9)", id="not-base-face"),
@@ -980,8 +1051,14 @@ SHAPE_CASES = [
     pytest.param(_sd_edge_carriers(v3=()),
                  "carrier of 3 is not a nonempty base face: ()", id="empty"),
     # the first offender is reported
-    pytest.param(_with_carriers(trivial((1, 2)), {1: (9,)}), KEYS,
+    pytest.param(_with_carriers(trivial((1, 2)), {1: (9,)}), missing_keys(2),
                  id="keys-before-carriers"),
+    pytest.param(_with_carriers(trivial((1, 2)), {1: (1,), 9: (1,), 8: (1,)}), extra_key(9),
+                 id="first-extra-key"),
+    pytest.param(_with_carriers(trivial((1, 2)), {3: (1,)}), extra_key(3),
+                 id="extra-before-missing"),
+    pytest.param(_with_carriers(trivial((1, 2, 3)), {2: (2,)}), missing_keys(1, 3),
+                 id="missing-in-vertex-order"),
     pytest.param(_with_carriers(trivial((1, 2)), {1: (8,), 2: (9,)}),
                  "carrier of 1 is not a nonempty base face: (8,)", id="first-bad-carrier"),
     pytest.param(_with_carriers(trivial((1, 2)), {2: (9,), 1: (8,)}),
@@ -1061,7 +1138,7 @@ class TestCarrierMapRejections:
     def test_dropped_carrier(self, T, data):
         v = data.draw(st.sampled_from(T.total.vertices))
         carriers = {u: c for u, c in T.vertex_carrier.items() if u != v}
-        assert refused(T.base, T.total, carriers) == KEYS
+        assert refused(T.base, T.total, carriers) == missing_keys(v)
 
     def test_big_simplex_lists_no_base_faces(self, monkeypatch):
         # The 40-vertex simplex has 2^40 faces; check_simplex and its
@@ -1088,6 +1165,17 @@ class TestValidateRejections:
             validate_triangulation(Triangulation(*args))
         assert type(err.value) is ValueError
         assert str(err.value) == message
+
+    def test_void_restriction_fails_the_dimension_test(self, monkeypatch):
+        # A void total has dimension -2, below that of every face.
+        T = trivial((1, 2))
+        void = Triangulation(full_simplex(()), from_facets([]), {})
+        real = triangulate_mod.restriction
+        monkeypatch.setattr(triangulate_mod, "restriction",
+                            lambda R, F: void if tuple(F) == (1, 2) else real(T, F))
+        with pytest.raises(ValueError) as err:
+            validate_triangulation(T)
+        assert str(err.value) == "restriction to (1, 2) is not a triangulation of it"
 
 
 class TestFirstUncarriedFace:
@@ -1176,7 +1264,7 @@ class TestFaceTable:
     def test_extra_key_with_the_full_carrier(self):
         # f_0 under the full mask could only count a vertex of the total.
         carriers = {**_SD4.vertex_carrier, 99: (1, 2, 3, 4)}
-        assert refused(_SD4.base, _SD4.total, carriers) == KEYS
+        assert refused(_SD4.base, _SD4.total, carriers) == extra_key(99)
 
     def test_full_mask_without_an_interior_vertex(self):
         # esd:4 of a tetrahedron has one interior vertex, and faces
